@@ -29,7 +29,9 @@ from .measures import (
 from .power import (
     MonteCarloSpec,
     QuadratureSpec,
+    entangling_power_grid,
     entangling_power_mc,
+    entangling_power_mc_grid,
     entangling_power_quadrature,
     entangling_power_series,
     reduced_integrand,

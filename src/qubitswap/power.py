@@ -1,12 +1,24 @@
 """Entangling power: the swapped concurrence averaged over all product
 initial states under the Haar measure.
 
-The average depends on the dynamics only through the survival probability
-p = |E|^2.  The two azimuthal integrals are done analytically
-(int dphi / (B - C cos phi) = 2 pi / sqrt(B^2 - C^2)), leaving a 2-D polar
-integral evaluated by tensor Gauss-Legendre quadrature with node-doubling
-convergence control.  A seeded Monte Carlo estimator over the full 4-angle
-measure provides the independent cross-check.
+It depends on the dynamics only through p = |E|^2.  After the elementary
+azimuthal integrals (reduced_integrand), with x = cos^2(theta1/2) and
+y = cos^2(theta2/2) both uniform on [0, 1],
+
+    P(p) = 2p int_0^1 x I(x) dx,   I(x) = int_0^1 y dy / sqrt(Q(y)),
+    Q = a y^2 + b y + c,   a = (1 - 2x + 2px)^2 + 4x(1 - x),
+    b = 2x(2px - 1),   c = x^2,   sqrt(Q(1)) = 1 - x + 2px,
+    I = (sqrt(Q(1)) - x)/a - (b/2a) J    (Gradshteyn & Ryzhik 2.261, 2.264),
+    J = ln[(2 sqrt(a) sqrt(Q(1)) + 2a + b) / (2x(sqrt(a) - 1 + 2px))] / sqrt(a).
+
+With sqrt(a) - 1 = 4px(1 - 2x + px)/(sqrt(a) + 1) that log is stable at small
+p, but it is still 0/0 as x -> 1 for p < 1/2 and overflows near p = 1e-300.
+The code evaluates the equal J = [asinh((2a + b)/r) - asinh(b/r)] / sqrt(a),
+r = sqrt(4ac - b^2) = 4x sqrt(x) sqrt(2p(1 - x)), where log p enters through
+r alone and 2a + b = 2(1 - x) + 4px(2 - 3x + 2px) does not cancel at x -> 1.
+The outer integral is Gauss-Legendre in s with x = s^2 (x I(x) ~ x^2 ln x at
+x = 0); it reaches rounding for every p in (0, 1] by 24 nodes.  Seeded Monte
+Carlo over the full 4-angle measure is the independent cross-check.
 """
 
 from __future__ import annotations
@@ -21,11 +33,15 @@ from numpy.polynomial.legendre import leggauss
 from .amplitude import AmplitudeModel, ModelParams, TimeGrid, amplitude, amplitude_ode_oracle
 from .errors import NotConverged, RangeError
 
-_MAX_DOUBLINGS = 5
+_BLOCK = 128  # p values per pass: (p, node) temporaries hold 128 x 2n floats
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """Node count of the coarse Gauss-Legendre rule on the one remaining
+    axis (the fine rule has twice as many), and the largest accepted
+    relative difference between the two rules' values."""
+
     nodes_per_axis: int = 64
     rel_tolerance: float = 1e-9
 
@@ -48,6 +64,13 @@ class MonteCarloSpec:
             raise RangeError("seed must fit in 64 bits")
 
 
+def _checked_p(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0) & (p <= 1)):  # also rejects NaN
+        raise RangeError("p must lie in [0, 1]")
+    return p
+
+
 def reduced_integrand(theta1: float, theta2: float, p: float):
     """Azimuth-averaged concurrence at fixed polar angles.
 
@@ -56,8 +79,7 @@ def reduced_integrand(theta1: float, theta2: float, p: float):
     B -> C ridge (theta1 = theta2, vanishing |Y| coefficient) gets its
     pointwise limit: 1 where A > 0, else 0.  Vectorized over the angles.
     """
-    if np.any((np.asarray(p) < 0) | (np.asarray(p) > 1)):
-        raise RangeError("p must lie in [0, 1]")
+    p = _checked_p(p)
     t1 = np.asarray(theta1, dtype=float)
     t2 = np.asarray(theta2, dtype=float)
     c1, c2 = np.cos(t1 / 2), np.cos(t2 / 2)
@@ -74,94 +96,84 @@ def reduced_integrand(theta1: float, theta2: float, p: float):
 
 
 @lru_cache(maxsize=16)
-def _leggauss(n: int):
-    x, w = leggauss(n)
-    return x, w
+def _nodes(n: int):
+    """x = s^2 and the dx weights of n Gauss-Legendre nodes s in (0, 1)."""
+    t, w = leggauss(n)
+    s = (t + 1) / 2
+    return s * s, w * s
 
 
-def _quad_level(p: float, n: int) -> float:
-    """One tensor Gauss-Legendre pass in ridge-adapted coordinates.
+def _rule(p: np.ndarray, n: int) -> np.ndarray:
+    """n-node value of P for a 1-D array of p in (0, 1]."""
+    x, wx = _nodes(n)
+    one_minus_x = 1 - x
+    p = p[:, None]
+    u = one_minus_x - x * (1 - 2 * p)  # sqrt(Q(1)) - x
+    a = u * u + 4 * x * one_minus_x
+    b = 2 * x * (2 * p * x - 1)
+    two_a_plus_b = 2 * one_minus_x + 4 * p * x * (2 - 3 * x + 2 * p * x)
+    r = 4 * x * np.sqrt(x) * np.sqrt(2 * p * one_minus_x)
+    j = (np.arcsinh(two_a_plus_b / r) - np.arcsinh(b / r)) / np.sqrt(a)
+    inner = (u - b / 2 * j) / a
+    # a row sum, unlike a BLAS matrix product, gives each p the same bits in any block
+    return 2 * p[:, 0] * np.sum(x * inner * wx, axis=1)
 
-    With u = (theta1+theta2)/2 and v = (theta1-theta2)/2 the integrand has a
-    bump of width sqrt(A) along v = 0; mapping v = delta sinh(y) with
-    delta = sqrt(A(u, 0)) flattens it, so the node count needed does not grow
-    as p -> 0.  By v -> -v symmetry only v >= 0 is integrated (doubled).
-    """
-    x, w = _leggauss(n)
-    u = (x + 1) * (math.pi / 2)           # (0, pi)
-    wu = w * (math.pi / 2)
-    v_max = np.minimum(u, math.pi - u)
-    delta = np.maximum(math.sqrt(2 * p) * (1 + np.cos(u)) / 2, 1e-150)
-    y_max = np.arcsinh(v_max / delta)
 
-    # y grid per u row: y_ij = (x_j + 1) * y_max_i / 2
-    y = (x[None, :] + 1) * (y_max[:, None] / 2)
-    wy = w[None, :] * (y_max[:, None] / 2)
-    v = delta[:, None] * np.sinh(y)
-    dv_dy = delta[:, None] * np.cosh(y)
+def entangling_power_grid(p, spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+    """Deterministic entangling power for an array of survival probabilities.
 
-    uu = u[:, None]
-    a = p * (np.cos(uu) + np.cos(v)) ** 2 / 2
-    denom = (a + np.sin(v) ** 2) * (a + np.sin(uu) ** 2)
-    f = np.where(denom > 0, a / np.sqrt(np.maximum(denom, 1e-300)), 0.0)
-    # sin(theta1) sin(theta2) = (cos 2v - cos 2u)/2; measure dtheta1 dtheta2
-    # = 2 du dv, doubled again for the folded v >= 0 half: the 1/4 in the
-    # original measure cancels
-    integrand = (np.cos(2 * v) - np.cos(2 * uu)) / 2 * f * dv_dy
-    return float(np.sum(wu[:, None] * wy * integrand))
+    Each p is integrated with spec.nodes_per_axis and twice as many nodes;
+    the finer value is returned when the two agree to spec.rel_tolerance
+    relative, else NotConverged is raised.  Exactly 0.0 where p = 0."""
+    p = _checked_p(p)
+    flat = p.ravel()
+    out = np.zeros(flat.shape)
+    live = np.flatnonzero(flat > 0)
+    n = spec.nodes_per_axis
+    for start in range(0, len(live), _BLOCK):
+        idx = live[start:start + _BLOCK]
+        coarse, fine = _rule(flat[idx], n), _rule(flat[idx], 2 * n)
+        bad = ~(np.abs(fine - coarse) <= spec.rel_tolerance * np.abs(fine))
+        if bad.any():
+            raise NotConverged(f"quadrature for p={flat[idx][bad][0]} did not converge "
+                               f"to {spec.rel_tolerance} between {n} and {2 * n} nodes")
+        out[idx] = np.clip(fine, 0.0, 1.0)
+    return out.reshape(p.shape)
 
 
 def entangling_power_quadrature(p: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Deterministic entangling power at survival probability p.
+    """Deterministic entangling power at one survival probability p."""
+    return float(entangling_power_grid(p, spec))
 
-    Doubles the per-axis node count until two successive levels agree to the
-    spec tolerance; the integrand's ridge at theta1 = theta2 is integrable,
-    so failures are expected only in a vanishing neighborhood of p = 0.
-    """
-    if not (0 <= p <= 1):
-        raise RangeError("p must lie in [0, 1]")
-    if p == 0:
-        return 0.0
-    n = spec.nodes_per_axis
-    prev = _quad_level(p, n)
-    for _ in range(_MAX_DOUBLINGS):
-        n *= 2
-        cur = _quad_level(p, n)
-        if abs(cur - prev) <= spec.rel_tolerance * max(1.0, abs(cur)):
-            return min(max(cur, 0.0), 1.0)
-        prev = cur
-    raise NotConverged(
-        f"quadrature for p={p} did not converge to {spec.rel_tolerance} "
-        f"after {_MAX_DOUBLINGS} doublings"
-    )
+
+def entangling_power_mc_grid(p, spec: MonteCarloSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo (mean, standard error) arrays of p's shape.  cos(theta)
+    uniform on [-1, 1] and phi uniform on [0, 2pi) are drawn for both qubits
+    once, seeded, and the closed-form concurrence is averaged over them at
+    every p."""
+    p = _checked_p(p)
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n_samples
+    t1, t2 = np.arccos(rng.uniform(-1, 1, (2, n)))
+    ph1, ph2 = rng.uniform(0, 2 * math.pi, (2, n))
+    c1, s1 = np.cos(t1 / 2), np.sin(t1 / 2)
+    c2, s2 = np.cos(t2 / 2), np.sin(t2 / 2)
+    c1c2_sq = (c1 * c2) ** 2
+    y_sq = np.abs(s1 * c2 * np.exp(1j * ph1) - s2 * c1 * np.exp(1j * ph2)) ** 2
+    means, stderrs = np.empty(p.shape), np.empty(p.shape)
+    for i, pi in enumerate(p.flat):
+        x_sq = pi * c1c2_sq
+        denom = 2 * x_sq + y_sq
+        conc = np.where(denom > 0, 2 * x_sq / np.maximum(denom, 1e-300), 0.0)
+        means.flat[i] = conc.mean()
+        stderrs.flat[i] = conc.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+    return means, stderrs
 
 
 def entangling_power_mc(p: float, spec: MonteCarloSpec) -> tuple[float, float]:
-    """Monte Carlo estimate over the full 4-angle product-state measure.
-
-    cos(theta) uniform on [-1, 1], phi uniform on [0, 2pi); averages the
-    closed-form concurrence.  Deterministic for a fixed seed.  Returns
-    (mean, standard error).
-    """
-    if not (0 <= p <= 1):
-        raise RangeError("p must lie in [0, 1]")
-    rng = np.random.default_rng(spec.seed)
-    n = spec.n_samples
-    ct1 = rng.uniform(-1, 1, n)
-    ct2 = rng.uniform(-1, 1, n)
-    ph1 = rng.uniform(0, 2 * math.pi, n)
-    ph2 = rng.uniform(0, 2 * math.pi, n)
-    t1 = np.arccos(ct1)
-    t2 = np.arccos(ct2)
-    c1, s1 = np.cos(t1 / 2), np.sin(t1 / 2)
-    c2, s2 = np.cos(t2 / 2), np.sin(t2 / 2)
-    x_sq = p * (c1 * c2) ** 2
-    y_sq = np.abs(s1 * c2 * np.exp(1j * ph1) - s2 * c1 * np.exp(1j * ph2)) ** 2
-    denom = 2 * x_sq + y_sq
-    conc = np.where(denom > 0, 2 * x_sq / np.maximum(denom, 1e-300), 0.0)
-    mean = float(conc.mean())
-    stderr = float(conc.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, stderr
+    """Monte Carlo (mean, standard error) at one survival probability p."""
+    mean, stderr = entangling_power_mc_grid(p, spec)
+    return float(mean), float(stderr)
 
 
 def entangling_power_series(
@@ -170,22 +182,11 @@ def entangling_power_series(
     spec: QuadratureSpec = QuadratureSpec(),
     model: AmplitudeModel | None = None,
 ) -> np.ndarray:
-    """Entangling power along a time grid.
-
-    The power is a function of p = |E(tau)|^2 alone, so repeated p values
-    (equal-|E| times) are served from a cache rather than re-integrated.
-    """
+    """Entangling power along a time grid, a function of p = |E(tau)|^2
+    alone.  Uses the analytic amplitude when a non-degenerate model is
+    given, else the ODE oracle."""
     if model is not None and not model.degenerate:
         e_vals = amplitude(model, grid.taus())
     else:
         e_vals = amplitude_ode_oracle(params, grid)
-    p_vals = np.abs(e_vals) ** 2
-    p_vals = np.clip(p_vals, 0.0, 1.0)
-    cache: dict[float, float] = {}
-    out = np.empty(len(p_vals))
-    for i, p in enumerate(p_vals):
-        key = float(p)
-        if key not in cache:
-            cache[key] = entangling_power_quadrature(key, spec)
-        out[i] = cache[key]
-    return out
+    return entangling_power_grid(np.clip(np.abs(e_vals) ** 2, 0.0, 1.0), spec)

@@ -25,7 +25,8 @@ from .measures import (
     linear_entropy,
     post_bsm_projection,
 )
-from .power import MonteCarloSpec, QuadratureSpec, entangling_power_mc, entangling_power_quadrature
+from .power import MonteCarloSpec, QuadratureSpec, entangling_power_grid, entangling_power_mc_grid
+from .power import entangling_power_mc, entangling_power_quadrature  # noqa: F401 (re-exported)
 
 OBSERVABLES = ("amplitude", "entropy", "entropy-avg", "concurrence", "power", "density")
 METHODS = ("analytic", "oracle")
@@ -239,17 +240,10 @@ def run_scan(config: ScenarioConfig) -> TimeSeries:
     elif obs == "power":
         cols = ("tau", "power")
         p_vals = np.clip(np.abs(e_vals) ** 2, 0.0, 1.0)
-        cache: dict[float, float] = {}
-        rows = []
-        for p in p_vals:
-            key = float(p)
-            if key not in cache:
-                if config.power_method == "mc":
-                    cache[key] = entangling_power_mc(key, config.mc)[0]
-                else:
-                    cache[key] = entangling_power_quadrature(key, config.quad)
-            rows.append([cache[key]])
-        vals = np.array(rows)
+        if config.power_method == "mc":
+            vals = entangling_power_mc_grid(p_vals, config.mc)[0][:, None]
+        else:
+            vals = entangling_power_grid(p_vals, config.quad)[:, None]
     else:  # pragma: no cover - guarded by config validation
         raise RangeError(f"unknown observable {obs!r}")
 
