@@ -23,6 +23,7 @@ from .measures import (
     concurrence_closed,
     concurrence_wootters,
     density_matrix,
+    density_populations,
     linear_entropy,
     post_bsm_projection,
 )

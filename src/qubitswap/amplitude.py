@@ -12,6 +12,8 @@ roots are (near-)degenerate.
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,9 @@ BETA_MAX = 1e-3
 
 # Roots closer than this (relative to the root scale) flag the model degenerate.
 DEGENERACY_GAP = 1e-6
+
+# R and beta*Omega above this overflow when squared in the cubic's coefficients.
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,9 @@ class ModelParams:
     Omega: float
 
     def __post_init__(self):
+        for name in ("R", "beta", "Omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise RangeError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.R > 0):
             raise RangeError(f"R must be positive, got {self.R}")
         if not (self.Omega > 0):
@@ -51,6 +59,12 @@ class ModelParams:
             raise RangeError(
                 f"beta={self.beta} is outside the classical-motion regime "
                 f"(beta < {BETA_MAX:g} required)"
+            )
+        if self.R > _SQRT_FLOAT_MAX:
+            raise RangeError(f"R={self.R} is too large: R**2/2 overflows")
+        if self.beta * self.Omega > _SQRT_FLOAT_MAX:
+            raise RangeError(
+                f"beta*Omega={self.beta * self.Omega} is too large: its square overflows"
             )
 
     @property
@@ -80,6 +94,10 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.tau_start) and math.isfinite(self.tau_end)):
+            raise RangeError(
+                f"tau bounds must be finite, got [{self.tau_start}, {self.tau_end}]"
+            )
         if self.tau_start < 0 or self.tau_end < self.tau_start:
             raise RangeError(
                 f"need 0 <= tau_start <= tau_end, got [{self.tau_start}, {self.tau_end}]"

@@ -9,6 +9,7 @@ from pathlib import Path
 from . import validate
 from .errors import (
     DegenerateModel,
+    NonFiniteResult,
     NonPhysicalInput,
     NotConverged,
     ParseError,
@@ -107,12 +108,16 @@ def main(argv=None) -> int:
     except (ParseError, RangeError, UnknownFigure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NotConverged, DegenerateModel, StepTooLarge, ZeroNorm, NonPhysicalInput) as exc:
+    except (NotConverged, DegenerateModel, StepTooLarge, ZeroNorm, NonPhysicalInput,
+            NonFiniteResult) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # last resort: one line instead of a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -26,6 +26,10 @@ class NonPhysicalInput(QubitSwapError):
     """A matrix failed its density-matrix invariants beyond tolerance."""
 
 
+class NonFiniteResult(QubitSwapError):
+    """A numeric route overflowed: its result holds inf or NaN."""
+
+
 class NotConverged(QubitSwapError):
     """Node-doubling refinement did not reach the requested tolerance."""
 

@@ -1,6 +1,14 @@
 """Entanglement measures: subsystem linear entropy, the singlet-projection
 Bell measurement on the leaked fields, and two-qubit concurrence (closed form
-and spin-flip eigenvalue route)."""
+and spin-flip eigenvalue route).
+
+The closed-form measures take the survival amplitude E as a scalar or as a
+numpy array over a time grid, and check a whole array at once.  A scalar E
+gives a scalar, an array gives an array of the same shape.  Each formula is
+written once; only the primitives below choose between the scalar and the
+array operation, and the two agree bit for bit, so an array element equals
+the scalar result for the same E.
+"""
 
 from __future__ import annotations
 
@@ -19,9 +27,34 @@ _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _SYSY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-def _check_abs_e(E: complex):
-    if abs(E) > 1 + 1e-9:
-        raise RangeError(f"|E| = {abs(E)} exceeds 1")
+def _abs(z):
+    # np.hypot equals scalar abs() bit for bit; np.abs on a complex array does not.
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
+def _sq(x):
+    # Scalar x ** 2 calls the C library's pow, and so does np.float_power;
+    # numpy's array x ** 2 is x * x, which rounds differently now and then.
+    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x**2
+
+
+def _all(condition) -> bool:
+    return bool(np.all(condition)) if isinstance(condition, np.ndarray) else bool(condition)
+
+
+def _checked_abs_e(E):
+    """|E| for every amplitude; rejects non-finite E and |E| above 1 beyond
+    round-off."""
+    mag = _abs(E)
+    if not _all(mag <= 1 + 1e-9):  # also false for NaN
+        raise RangeError(f"|E| must be finite and at most 1, got max |E| = {np.max(mag)}")
+    return mag
+
+
+def _survival_probability(E):
+    p = _sq(_checked_abs_e(E))
+    # |E| may exceed 1 by round-off
+    return np.minimum(p, 1.0) if isinstance(p, np.ndarray) else min(p, 1.0)
 
 
 @dataclass(frozen=True)
@@ -35,10 +68,12 @@ class BlochAngles:
     def __post_init__(self):
         if not (0 <= self.theta <= math.pi):
             raise RangeError(f"theta must lie in [0, pi], got {self.theta}")
+        if not math.isfinite(self.phi):
+            raise RangeError(f"phi must be finite, got {self.phi}")
         object.__setattr__(self, "phi", self.phi % (2 * math.pi))
 
 
-def linear_entropy(theta: float, E: complex) -> float:
+def linear_entropy(theta: float, E):
     """Linear entropy of one qubit-cavity subsystem.
 
     Depends on the initial state only through theta (the azimuthal phase drops
@@ -46,16 +81,14 @@ def linear_entropy(theta: float, E: complex) -> float:
     """
     if not (0 <= theta <= math.pi):
         raise RangeError(f"theta must lie in [0, pi], got {theta}")
-    _check_abs_e(E)
-    p = min(abs(E) ** 2, 1.0)  # |E| may exceed 1 by round-off
+    p = _survival_probability(E)
     return 2 * (1 - p) * p * math.cos(theta / 2) ** 4
 
 
-def average_linear_entropy(E: complex) -> float:
+def average_linear_entropy(E):
     """Haar average of the linear entropy over initial qubit states; maximum
     1/6, attained when the survival probability is 1/2."""
-    _check_abs_e(E)
-    p = min(abs(E) ** 2, 1.0)
+    p = _survival_probability(E)
     return (2.0 / 3.0) * (1 - p) * p
 
 
@@ -71,37 +104,67 @@ def _half_cos_sin(theta: float) -> tuple[float, float]:
 class PostBsmState:
     """Amplitude triple of the two-qubit state after the singlet Bell
     measurement: X multiplies (|eg> - |ge>), Y multiplies |gg>, N is the
-    (unnormalized) success weight 2|X|^2 + |Y|^2."""
+    (unnormalized) success weight 2|X|^2 + |Y|^2.
 
-    X: complex
+    X is a complex scalar, or an array with one entry per amplitude E of a
+    batch; Y depends only on the initial angles and is always a scalar.
+    """
+
+    X: complex | np.ndarray
     Y: complex
 
     @property
-    def N(self) -> float:
-        return 2 * abs(self.X) ** 2 + abs(self.Y) ** 2
+    def N(self):
+        return 2 * _sq(_abs(self.X)) + _sq(abs(self.Y))
 
 
-def post_bsm_projection(q1: BlochAngles, q2: BlochAngles, E: complex) -> PostBsmState:
+def post_bsm_projection(q1: BlochAngles, q2: BlochAngles, E) -> PostBsmState:
     """Project the joint qubit-field state onto the singlet field Bell state.
 
     Both subsystems share the same survival amplitude E (identical cavities
     and equal velocities); the result is independent of the leaked photons'
     pulse shape by construction.
     """
-    _check_abs_e(E)
+    _checked_abs_e(E)
     c1, s1 = _half_cos_sin(q1.theta)
     c2, s2 = _half_cos_sin(q2.theta)
     x = c1 * c2 * E
     y = s1 * c2 * np.exp(1j * q1.phi) - s2 * c1 * np.exp(1j * q2.phi)
-    return PostBsmState(X=complex(x), Y=complex(y))
+    return PostBsmState(X=x if isinstance(x, np.ndarray) else complex(x), Y=complex(y))
 
 
-def concurrence_closed(s: PostBsmState) -> float:
-    """Concurrence of the post-measurement pure state: 2|X|^2 / (2|X|^2 + |Y|^2)."""
+def _checked_norm(s: PostBsmState):
     n = s.N
-    if n < ZERO_NORM_EPS:
+    if not _all(n >= ZERO_NORM_EPS):
         raise ZeroNorm("projection has vanishing success probability")
-    return 2 * abs(s.X) ** 2 / n
+    return n
+
+
+def concurrence_closed(s: PostBsmState):
+    """Concurrence of the post-measurement pure state: 2|X|^2 / (2|X|^2 + |Y|^2)."""
+    n = _checked_norm(s)
+    return 2 * _sq(_abs(s.X)) / n
+
+
+def density_populations(s: PostBsmState) -> np.ndarray:
+    """Diagonal of the post-measurement density matrix, (0, |X|^2, |X|^2,
+    |Y|^2)/N, with one row of four per entry of a batched state.
+
+    The amplitudes are normalised before they are squared, in the order
+    density_matrix's outer product takes.  For the rank-1 state the
+    populations being >= -1e-10 and summing to 1 within 1e-12 are the
+    eigenvalue and trace conditions DensityMatrix4 checks.
+    """
+    root_n = np.sqrt(_checked_norm(s))
+    x = np.asarray(s.X, dtype=complex) / root_n
+    y = s.Y / root_n
+    pop_x = (x * x.conj()).real
+    pops = np.stack([np.zeros_like(pop_x), pop_x, pop_x, (y * np.conj(y)).real], axis=-1)
+    if np.min(pops, initial=0.0) < -1e-10:
+        raise NonPhysicalInput("a population is below -1e-10")
+    if not np.all(np.abs(pops.sum(axis=-1) - 1) <= 1e-12):
+        raise NonPhysicalInput("populations do not sum to 1 within 1e-12")
+    return pops
 
 
 @dataclass(frozen=True)

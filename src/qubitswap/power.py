@@ -48,7 +48,7 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes_per_axis < 16:
             raise RangeError("nodes_per_axis must be >= 16")
-        if self.rel_tolerance < 1e-10:
+        if not self.rel_tolerance >= 1e-10:  # also rejects NaN
             raise RangeError("rel_tolerance must be >= 1e-10")
 
 

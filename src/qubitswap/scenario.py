@@ -16,12 +16,12 @@ from .amplitude import (
     amplitude_ode_oracle,
     build_amplitude_model,
 )
-from .errors import ParseError, RangeError, UnknownFigure
+from .errors import NonFiniteResult, ParseError, RangeError, UnknownFigure
 from .measures import (
     BlochAngles,
     average_linear_entropy,
     concurrence_closed,
-    density_matrix,
+    density_populations,
     linear_entropy,
     post_bsm_projection,
 )
@@ -202,14 +202,18 @@ def config_text(config: ScenarioConfig) -> str:
 def _survival_amplitudes(config: ScenarioConfig) -> np.ndarray:
     model = build_amplitude_model(config.params)
     if config.method == "oracle" or model.degenerate:
-        return amplitude_ode_oracle(config.params, config.grid)
-    return amplitude(model, config.grid.taus())
+        e_vals = amplitude_ode_oracle(config.params, config.grid)
+    else:
+        e_vals = amplitude(model, config.grid.taus())
+    if not np.all(np.isfinite(e_vals)):
+        raise NonFiniteResult(f"the survival amplitude overflowed for {config.params}")
+    return e_vals
 
 
 def run_scan(config: ScenarioConfig) -> TimeSeries:
     """Evaluate the configured observable on the time grid."""
     taus = config.grid.taus()
-    e_vals = np.atleast_1d(_survival_amplitudes(config))
+    e_vals = _survival_amplitudes(config)
 
     obs = config.observable
     if obs == "amplitude":
@@ -218,25 +222,16 @@ def run_scan(config: ScenarioConfig) -> TimeSeries:
     elif obs == "entropy":
         theta = config.angles[0].theta if config.angles else 0.0
         cols = ("tau", "entropy")
-        vals = np.array([[linear_entropy(theta, e)] for e in e_vals])
+        vals = linear_entropy(theta, e_vals)[:, None]
     elif obs == "entropy-avg":
         cols = ("tau", "entropy_avg")
-        vals = np.array([[average_linear_entropy(e)] for e in e_vals])
+        vals = average_linear_entropy(e_vals)[:, None]
     elif obs == "concurrence":
-        q1, q2 = config.angles
         cols = ("tau", "concurrence")
-        vals = np.array(
-            [[concurrence_closed(post_bsm_projection(q1, q2, e))] for e in e_vals]
-        )
+        vals = concurrence_closed(post_bsm_projection(*config.angles, e_vals))[:, None]
     elif obs == "density":
-        q1, q2 = config.angles
         cols = ("tau", "pop_ee", "pop_eg", "pop_ge", "pop_gg")
-        vals = np.array(
-            [
-                np.diag(density_matrix(post_bsm_projection(q1, q2, e)).matrix).real
-                for e in e_vals
-            ]
-        )
+        vals = density_populations(post_bsm_projection(*config.angles, e_vals))
     elif obs == "power":
         cols = ("tau", "power")
         p_vals = np.clip(np.abs(e_vals) ** 2, 0.0, 1.0)
@@ -251,10 +246,15 @@ def run_scan(config: ScenarioConfig) -> TimeSeries:
 
 
 def format_csv(series: TimeSeries) -> str:
-    lines = [",".join(series.columns)]
-    for tau, row in zip(series.taus, series.values):
-        lines.append(",".join(f"{v:.17g}" for v in (tau, *row)))
-    return "\n".join(lines) + "\n"
+    """Header line, then one line per tau with every value as ``{:.17g}``.
+
+    All rows are formatted by a single ``%`` operation; ``%.17g`` and
+    ``format(v, ".17g")`` render a float through the same routine, so the
+    bytes equal those of per-value formatting.
+    """
+    block = np.column_stack([series.taus, series.values])
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return ",".join(series.columns) + "\n" + (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def emit_csv(series: TimeSeries, path) -> None:

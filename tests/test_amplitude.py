@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +41,27 @@ class TestModelParams:
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(RangeError):
             ModelParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(R=math.inf, beta=0.0, Omega=1.0),
+            dict(R=math.nan, beta=0.0, Omega=1.0),
+            dict(R=1.0, beta=math.nan, Omega=1.0),
+            dict(R=1.0, beta=0.0, Omega=math.inf),
+            dict(R=1e200, beta=0.0, Omega=1.0),  # R**2 overflows
+            dict(R=1.0, beta=1e-4, Omega=1e300),  # (beta*Omega)**2 overflows
+        ],
+    )
+    def test_rejects_non_finite_and_overflowing(self, kwargs):
+        with pytest.raises(RangeError):
+            ModelParams(**kwargs)
+
+    def test_largest_r_builds_coefficients(self):
+        r_max = math.sqrt(sys.float_info.max)
+        assert math.isfinite(cubic_coefficients(ModelParams(r_max, 0.0, 1.0)).a0.real)
+        with pytest.raises(RangeError):
+            ModelParams(math.nextafter(r_max, math.inf), 0.0, 1.0)
 
 
 class TestCubicCoefficients:
@@ -223,6 +245,13 @@ class TestTimeGrid:
     def test_rejects_single_point_span(self):
         with pytest.raises(RangeError):
             TimeGrid(0.0, 1.0, 1)
+
+    @pytest.mark.parametrize(
+        "start,end", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (math.inf, math.inf)]
+    )
+    def test_rejects_non_finite_bounds(self, start, end):
+        with pytest.raises(RangeError, match="finite"):
+            TimeGrid(start, end, 10)
 
     def test_single_instant_allowed(self):
         assert list(TimeGrid(1.0, 1.0, 1).taus()) == [1.0]

@@ -13,6 +13,7 @@ from qubitswap.measures import (
     concurrence_closed,
     concurrence_wootters,
     density_matrix,
+    density_populations,
     linear_entropy,
     post_bsm_projection,
 )
@@ -31,6 +32,11 @@ class TestBlochAngles:
             BlochAngles(theta=-0.1)
         with pytest.raises(RangeError):
             BlochAngles(theta=math.pi + 0.1)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_phi_must_be_finite(self, phi):
+        with pytest.raises(RangeError):
+            BlochAngles(theta=1.0, phi=phi)
 
 
 class TestLinearEntropy:
@@ -221,3 +227,106 @@ class TestClassifyInitialState:
             for tau_amp in (0.9, 0.5, 0.05):
                 s = post_bsm_projection(q, q, tau_amp)
                 assert concurrence_closed(s) == pytest.approx(1.0, abs=1e-10)
+
+
+def random_batch(rng, n):
+    return np.sqrt(rng.uniform(0, 1, n)) * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+
+
+class TestArrayMeasures:
+    """The array route of each closed-form measure against a per-row loop over
+    its scalar route, which is the reference."""
+
+    N = 10_000
+    MAX_ULP = 4
+
+    @pytest.fixture
+    def batch(self):
+        rng = np.random.default_rng(2024)
+        e = random_batch(rng, self.N)
+        e[:3] = (0.0, 1.0, -1j)  # extremes of the survival probability
+        return e
+
+    @pytest.fixture
+    def angles(self):
+        return BlochAngles(0.9, 0.4), BlochAngles(2.1, 5.0)
+
+    def test_linear_entropy(self, batch):
+        got = linear_entropy(0.7, batch)
+        ref = np.array([linear_entropy(0.7, e) for e in batch])
+        np.testing.assert_array_max_ulp(got, ref, maxulp=self.MAX_ULP)
+
+    def test_average_linear_entropy(self, batch):
+        got = average_linear_entropy(batch)
+        ref = np.array([average_linear_entropy(e) for e in batch])
+        np.testing.assert_array_max_ulp(got, ref, maxulp=self.MAX_ULP)
+
+    def test_projection_and_weight(self, batch, angles):
+        s = post_bsm_projection(*angles, batch)
+        rows = [post_bsm_projection(*angles, e) for e in batch]
+        np.testing.assert_array_max_ulp(s.X.real, [r.X.real for r in rows], maxulp=self.MAX_ULP)
+        np.testing.assert_array_max_ulp(s.X.imag, [r.X.imag for r in rows], maxulp=self.MAX_ULP)
+        assert all(r.Y == s.Y for r in rows)
+        np.testing.assert_array_max_ulp(s.N, [r.N for r in rows], maxulp=self.MAX_ULP)
+
+    def test_concurrence_closed(self, batch, angles):
+        got = concurrence_closed(post_bsm_projection(*angles, batch))
+        ref = [concurrence_closed(post_bsm_projection(*angles, e)) for e in batch]
+        np.testing.assert_array_max_ulp(got, ref, maxulp=self.MAX_ULP)
+
+    def test_density_populations(self, batch, angles):
+        got = density_populations(post_bsm_projection(*angles, batch))
+        ref = np.array(
+            [np.diag(density_matrix(post_bsm_projection(*angles, e)).matrix).real for e in batch]
+        )
+        assert got.shape == (self.N, 4)
+        np.testing.assert_array_max_ulp(got, ref, maxulp=self.MAX_ULP)
+
+    def test_scalar_in_scalar_out(self, angles):
+        assert type(linear_entropy(0.3, 0.6)) is float
+        assert type(average_linear_entropy(0.6j)) is float
+        s = post_bsm_projection(*angles, 0.6)
+        assert type(s.X) is complex and type(s.N) is float
+        assert type(concurrence_closed(s)) is float
+        assert density_populations(s).shape == (4,)
+
+    def test_vanishing_weight_in_batch_raises(self):
+        e = np.array([0.5, 0.3 + 0.1j, 0.9])
+        with pytest.raises(ZeroNorm):
+            concurrence_closed(post_bsm_projection(BlochAngles(math.pi), BlochAngles(math.pi), e))
+        # singlet branch (Y = 0): only the row with E = 0 has a vanishing weight
+        q = BlochAngles(math.pi / 2, 0.0)
+        state = post_bsm_projection(q, q, np.array([0.5, 0.0, 0.9]))
+        with pytest.raises(ZeroNorm):
+            concurrence_closed(state)
+        with pytest.raises(ZeroNorm):
+            density_populations(state)
+
+    @pytest.mark.parametrize("bad", [1 + 1e-6, math.nan, complex(math.nan, 0.1), math.inf])
+    def test_bad_amplitude_in_batch_raises(self, bad):
+        e = np.array([0.5, bad, 0.9j], dtype=complex)
+        q1, q2 = BlochAngles(0.4), BlochAngles(1.2, 0.3)
+        for measure in (
+            lambda e: linear_entropy(0.3, e),
+            average_linear_entropy,
+            lambda e: post_bsm_projection(q1, q2, e),
+        ):
+            with pytest.raises(RangeError):
+                measure(e)
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.2, math.nan), math.inf, -math.inf])
+    def test_non_finite_scalar_amplitude_raises(self, bad):
+        with pytest.raises(RangeError):
+            linear_entropy(0.3, bad)
+        with pytest.raises(RangeError):
+            average_linear_entropy(bad)
+        with pytest.raises(RangeError):
+            post_bsm_projection(BlochAngles(0.4), BlochAngles(1.2, 0.3), bad)
+
+    def test_populations_check_rejects_unnormalised_state(self, monkeypatch):
+        # N that disagrees with X and Y leaves populations not summing to 1
+        from qubitswap import measures
+
+        monkeypatch.setattr(measures.PostBsmState, "N", property(lambda s: 2.0))
+        with pytest.raises(NonPhysicalInput):
+            density_populations(post_bsm_projection(BlochAngles(0.0), BlochAngles(1.0), 0.5))

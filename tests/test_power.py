@@ -81,6 +81,8 @@ class TestSpecs:
             QuadratureSpec(nodes_per_axis=8)
         with pytest.raises(RangeError):
             QuadratureSpec(rel_tolerance=1e-12)
+        with pytest.raises(RangeError):
+            QuadratureSpec(rel_tolerance=math.nan)
 
     def test_mc_bounds(self):
         with pytest.raises(RangeError):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from qubitswap import cli, scenario, validate
 from qubitswap.cli import main
 from qubitswap.errors import ParseError, RangeError, UnknownFigure
 from qubitswap.scenario import (
     FIGURE_IDS,
+    TimeSeries,
     config_text,
     emit_csv,
     figure_preset,
@@ -180,6 +182,38 @@ class TestEmitCsv:
         assert b"0.5" in raw
 
 
+def reference_format_csv(series):
+    """Per-value formatting, the reference for format_csv's single pass."""
+    lines = [",".join(series.columns)]
+    for tau, row in zip(series.taus, series.values):
+        lines.append(",".join(f"{v:.17g}" for v in (tau, *row)))
+    return "\n".join(lines) + "\n"
+
+
+class TestFormatCsv:
+    def test_edge_values(self):
+        edges = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e300, 5e-324, 0.1, 1 / 3,
+                 float(2**53 + 1), -2.5e-308, 1.7976931348623157e308]
+        values = np.array(edges).reshape(3, 4)
+        series = TimeSeries(("tau", "a", "b", "c", "d"), np.array([0.0, 0.5, 1.0]), values)
+        assert format_csv(series) == reference_format_csv(series)
+        assert format_csv(series).splitlines()[1] == "0,-0,0,inf,-inf"
+
+    def test_one_row_series(self):
+        series = run_scan(figure_preset("fig6")[1])
+        assert len(series.taus) == 1
+        assert format_csv(series) == reference_format_csv(series)
+
+    def test_random_block_across_magnitudes(self):
+        rng = np.random.default_rng(31)
+        n = 10_000
+        taus = np.sort(10 ** rng.uniform(-300, 300, n))
+        signs = rng.choice([-1.0, 1.0], size=(n, 4))
+        values = signs * rng.uniform(1, 10, (n, 4)) * 10 ** rng.uniform(-300, 300, (n, 4))
+        series = TimeSeries(("tau", "a", "b", "c", "d"), taus, values)
+        assert format_csv(series) == reference_format_csv(series)
+
+
 class TestFigurePresets:
     def test_known_ids(self):
         for fig_id in FIGURE_IDS:
@@ -305,6 +339,60 @@ class TestCliMain:
             ]
         )
         assert code == 3
+
+
+class TestCliInputErrors:
+    """Inputs that used to end in a traceback or a misleading message."""
+
+    BASE = ["scan", "--R", "0.1", "--omega-ratio", "1.5e9", "--observable", "amplitude",
+            "--tau-steps", "11"]
+
+    @staticmethod
+    def with_flag(argv, flag, value):
+        argv = list(argv)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        return argv
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--omega-ratio", "inf", "Omega must be finite"),
+            ("--R", "1e200", "R**2/2 overflows"),
+            ("--tau-max", "inf", "tau bounds must be finite"),
+            ("--tau-max", "nan", "tau bounds must be finite"),
+        ],
+    )
+    def test_one_line_usage_error(self, capsys, flag, value, message):
+        assert main(self.with_flag(self.BASE, flag, value)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert message in err and "Traceback" not in err
+
+    def test_non_finite_amplitude_is_numeric_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(scenario, "amplitude", lambda model, t: np.full(len(t), np.nan + 0j))
+        assert main(self.BASE) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numeric failure:")
+
+    def test_unexpected_exception_is_one_line(self, capsys, monkeypatch):
+        def broken(config):
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+
+        monkeypatch.setattr(cli, "run_scan", broken)
+        assert main(self.BASE) == 2
+        err = capsys.readouterr().err
+        assert err == "internal error: LinAlgError: Array must not contain infs or NaNs\n"
+
+
+class TestValidateCommand:
+    def test_prints_one_pass_line_per_check(self, capsys):
+        assert main(["validate"]) == 0
+        expected = [f"PASS {name}" for name, _ in validate.ALL_CHECKS]
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 class TestDeterminism:
