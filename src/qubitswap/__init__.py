@@ -1,25 +1,15 @@
 """Exact dissipative dynamics of moving qubits in leaky cavities and the
-entanglement swapped between two such qubits by a Bell-state measurement."""
+entanglement swapped between two such qubits by a Bell-state measurement.
 
-from .amplitude import (
-    AmplitudeModel,
-    CubicCoefficients,
-    ModelParams,
-    TimeGrid,
-    amplitude,
-    amplitude_ode_oracle,
-    build_amplitude_model,
-    closed_form_beta0,
-    cubic_coefficients,
-    solve_cubic,
-)
+The names below are the documented API (README, "Library"); the modules
+hold the rest, such as ``qubitswap.scenario`` for scans and presets."""
+
+from types import ModuleType as _ModuleType
+
+from .amplitude import ModelParams, TimeGrid, amplitude, build_amplitude_model
 from .measures import (
     BlochAngles,
-    DensityMatrix4,
-    InitialStateClass,
-    PostBsmState,
     average_linear_entropy,
-    classify_initial_state,
     concurrence_closed,
     concurrence_wootters,
     density_matrix,
@@ -27,26 +17,8 @@ from .measures import (
     linear_entropy,
     post_bsm_projection,
 )
-from .power import (
-    MonteCarloSpec,
-    QuadratureSpec,
-    entangling_power_grid,
-    entangling_power_mc,
-    entangling_power_mc_grid,
-    entangling_power_quadrature,
-    entangling_power_series,
-    reduced_integrand,
-)
-from .scenario import (
-    ScenarioConfig,
-    TimeSeries,
-    config_text,
-    emit_csv,
-    figure_preset,
-    parse_config,
-    run_figure,
-    run_scan,
-)
+from .power import entangling_power_quadrature
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in vars().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"

@@ -87,11 +87,12 @@ class CubicCoefficients:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid in scaled time tau."""
+    """Uniform grid in scaled time tau.  The default, 1000 points on
+    [0, 50], is the window of the published figures."""
 
-    tau_start: float
-    tau_end: float
-    n_points: int
+    tau_start: float = 0.0
+    tau_end: float = 50.0
+    n_points: int = 1000
 
     def __post_init__(self):
         if not (math.isfinite(self.tau_start) and math.isfinite(self.tau_end)):

@@ -7,18 +7,8 @@ import sys
 from pathlib import Path
 
 from . import validate
-from .errors import (
-    DegenerateModel,
-    NonFiniteResult,
-    NonPhysicalInput,
-    NotConverged,
-    ParseError,
-    RangeError,
-    StepTooLarge,
-    UnknownFigure,
-    ZeroNorm,
-)
-from .scenario import FIGURE_IDS, OBSERVABLES, emit_csv, format_csv, parse_config, run_figure, run_scan
+from .errors import ParseError, QubitSwapError, RangeError, UnknownFigure
+from .scenario import FIGURE_IDS, OPTIONS, emit_csv, format_csv, parse_config, run_figure, run_scan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,24 +25,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="evaluate one observable over a time grid")
     scan.add_argument("--config", type=Path, help="flat key = value config file")
-    scan.add_argument("--R", type=float, help="scaled vacuum Rabi frequency")
-    scan.add_argument("--beta", type=float, help="qubit velocity ratio v/c")
-    scan.add_argument("--omega-ratio", type=float, help="transition frequency over cavity linewidth")
-    scan.add_argument("--observable", choices=OBSERVABLES)
-    scan.add_argument("--theta1", type=float)
-    scan.add_argument("--phi1", type=float)
-    scan.add_argument("--theta2", type=float)
-    scan.add_argument("--phi2", type=float)
-    scan.add_argument("--method", choices=("analytic", "oracle"))
-    scan.add_argument("--power-method", choices=("quad", "mc"))
-    scan.add_argument("--mc-samples", type=int)
-    scan.add_argument("--seed", type=int)
-    scan.add_argument("--quad-nodes", type=int)
-    scan.add_argument("--quad-tol", type=float)
-    scan.add_argument("--tau-min", type=float)
-    scan.add_argument("--tau-max", type=float)
-    scan.add_argument("--tau-steps", type=int)
-    scan.add_argument("--out", help="output CSV path, '-' for stdout")
+    for opt in OPTIONS.values():
+        scan.add_argument(f"--{opt.key}", type=opt.type, choices=opt.choices, help=opt.help)
 
     fig = sub.add_parser("figure", help="run a published-figure preset")
     fig.add_argument("id", metavar="ID", help=f"one of: {', '.join(FIGURE_IDS)}")
@@ -62,18 +36,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = (
-    "R", "beta", "omega-ratio", "observable", "theta1", "phi1", "theta2", "phi2",
-    "method", "power-method", "mc-samples", "seed", "quad-nodes", "quad-tol",
-    "tau-min", "tau-max", "tau-steps", "out",
-)
-
-
 def _cmd_scan(args) -> int:
     file_text = None
     if args.config is not None:
         file_text = args.config.read_text(encoding="utf-8")
-    flags = {key: getattr(args, key.replace("-", "_")) for key in _FLAG_KEYS}
+    flags = {key: getattr(args, key.replace("-", "_")) for key in OPTIONS}
     config = parse_config(flags, file_text=file_text)
     series = run_scan(config)
     if config.out == "-":
@@ -108,8 +75,7 @@ def main(argv=None) -> int:
     except (ParseError, RangeError, UnknownFigure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NotConverged, DegenerateModel, StepTooLarge, ZeroNorm, NonPhysicalInput,
-            NonFiniteResult) as exc:
+    except QubitSwapError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

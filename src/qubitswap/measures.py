@@ -70,7 +70,9 @@ class BlochAngles:
             raise RangeError(f"theta must lie in [0, pi], got {self.theta}")
         if not math.isfinite(self.phi):
             raise RangeError(f"phi must be finite, got {self.phi}")
-        object.__setattr__(self, "phi", self.phi % (2 * math.pi))
+        phi = self.phi % (2 * math.pi)
+        # a tiny negative phi gives 2pi itself, which would not map to itself
+        object.__setattr__(self, "phi", 0.0 if phi == 2 * math.pi else phi)
 
 
 def linear_entropy(theta: float, E):

@@ -30,7 +30,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .amplitude import AmplitudeModel, ModelParams, TimeGrid, amplitude, amplitude_ode_oracle
 from .errors import NotConverged, RangeError
 
 _BLOCK = 128  # p values per pass: (p, node) temporaries hold 128 x 2n floats
@@ -175,18 +174,3 @@ def entangling_power_mc(p: float, spec: MonteCarloSpec) -> tuple[float, float]:
     mean, stderr = entangling_power_mc_grid(p, spec)
     return float(mean), float(stderr)
 
-
-def entangling_power_series(
-    params: ModelParams,
-    grid: TimeGrid,
-    spec: QuadratureSpec = QuadratureSpec(),
-    model: AmplitudeModel | None = None,
-) -> np.ndarray:
-    """Entangling power along a time grid, a function of p = |E(tau)|^2
-    alone.  Uses the analytic amplitude when a non-degenerate model is
-    given, else the ODE oracle."""
-    if model is not None and not model.degenerate:
-        e_vals = amplitude(model, grid.taus())
-    else:
-        e_vals = amplitude_ode_oracle(params, grid)
-    return entangling_power_grid(np.clip(np.abs(e_vals) ** 2, 0.0, 1.0), spec)

@@ -4,6 +4,7 @@ and one-command presets for the published parameter sets."""
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -31,9 +32,6 @@ from .power import entangling_power_mc, entangling_power_quadrature  # noqa: F40
 OBSERVABLES = ("amplitude", "entropy", "entropy-avg", "concurrence", "power", "density")
 METHODS = ("analytic", "oracle")
 POWER_METHODS = ("quad", "mc")
-
-DEFAULT_TAU_MAX = 50.0
-DEFAULT_TAU_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -78,13 +76,44 @@ class TimeSeries:
             raise RangeError("value block shape does not match columns")
 
 
-# Config files are flat "key = value" lines; keys are the CLI flag names
-# without their leading dashes.
-_FLOAT_KEYS = ("R", "beta", "omega-ratio", "theta1", "phi1", "theta2", "phi2",
-               "tau-min", "tau-max", "quad-tol")
-_INT_KEYS = ("tau-steps", "mc-samples", "seed", "quad-nodes")
-_STR_KEYS = ("observable", "method", "power-method", "out")
-_ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
+@dataclass(frozen=True)
+class Option:
+    """One scan option: ``--key`` on the command line, ``key = value`` in a
+    config file.  It sets ``field`` of one part of a ScenarioConfig: the
+    config itself, params, grid, q1 or q2 (the two angles), mc or quad."""
+
+    key: str
+    type: type
+    part: str
+    field: str
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+# In the order config_text writes them.  An unset option takes the default
+# of the field it sets.
+OPTIONS = {opt.key: opt for opt in (
+    Option("R", float, "params", "R", "scaled vacuum Rabi frequency"),
+    Option("beta", float, "params", "beta", "qubit velocity ratio v/c"),
+    Option("omega-ratio", float, "params", "Omega", "transition frequency over cavity linewidth"),
+    Option("observable", str, "config", "observable", "quantity to evaluate", OBSERVABLES),
+    Option("theta1", float, "q1", "theta", "polar Bloch angle of qubit 1"),
+    Option("phi1", float, "q1", "phi", "azimuthal Bloch angle of qubit 1"),
+    Option("theta2", float, "q2", "theta", "polar Bloch angle of qubit 2"),
+    Option("phi2", float, "q2", "phi", "azimuthal Bloch angle of qubit 2"),
+    Option("tau-min", float, "grid", "tau_start", "first scaled time"),
+    Option("tau-max", float, "grid", "tau_end", "last scaled time"),
+    Option("tau-steps", int, "grid", "n_points", "number of time points"),
+    Option("method", str, "config", "method", "survival-amplitude route", METHODS),
+    Option("power-method", str, "config", "power_method", "entangling-power estimator",
+           POWER_METHODS),
+    Option("mc-samples", int, "mc", "n_samples", "Monte Carlo sample count"),
+    Option("seed", int, "mc", "seed", "Monte Carlo seed"),
+    Option("quad-nodes", int, "quad", "nodes_per_axis", "node count of the coarse quadrature rule"),
+    Option("quad-tol", float, "quad", "rel_tolerance",
+           "largest relative difference accepted between the coarse and fine rules"),
+    Option("out", str, "config", "out", "output CSV path, '-' for stdout"),
+)}
 
 
 def parse_config_file(text: str) -> dict:
@@ -98,7 +127,7 @@ def parse_config_file(text: str) -> dict:
             raise ParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in OPTIONS:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         out[key] = _coerce(key, value, f"line {lineno}")
     return out
@@ -106,11 +135,7 @@ def parse_config_file(text: str) -> dict:
 
 def _coerce(key: str, value, where: str):
     try:
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            return int(value)
-        return str(value)
+        return OPTIONS[key].type(value)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: bad value for {key!r}: {value!r}") from exc
 
@@ -121,49 +146,30 @@ def parse_config(options: dict, file_text: str | None = None) -> ScenarioConfig:
     for key, value in options.items():
         if value is None:
             continue
-        if key not in _ALL_KEYS:
+        if key not in OPTIONS:
             raise ParseError(f"unknown option {key!r}")
         merged[key] = _coerce(key, value, f"option {key!r}")
+    for key in ("R", "omega-ratio", "observable"):
+        if key not in merged:
+            raise ParseError(f"{key} is required")
 
-    if "R" not in merged:
-        raise ParseError("R is required")
-    if "omega-ratio" not in merged:
-        raise ParseError("omega-ratio is required")
-    if "observable" not in merged:
-        raise ParseError("observable is required")
-
-    params = ModelParams(
-        R=merged["R"], beta=merged.get("beta", 0.0), Omega=merged["omega-ratio"]
-    )
-    grid = TimeGrid(
-        tau_start=merged.get("tau-min", 0.0),
-        tau_end=merged.get("tau-max", DEFAULT_TAU_MAX),
-        n_points=merged.get("tau-steps", DEFAULT_TAU_STEPS),
-    )
+    fields = defaultdict(dict)  # part -> {field: value}
+    for key, value in merged.items():
+        fields[OPTIONS[key].part][OPTIONS[key].field] = value
+    params = ModelParams(**{"beta": 0.0, **fields["params"]})
+    grid = TimeGrid(**fields["grid"])
     angles = None
-    angle_keys = ("theta1", "phi1", "theta2", "phi2")
-    if any(k in merged for k in angle_keys):
-        if "theta1" not in merged or "theta2" not in merged:
+    if fields["q1"] or fields["q2"]:
+        if "theta" not in fields["q1"] or "theta" not in fields["q2"]:
             raise ParseError("theta1 and theta2 are both required when angles are given")
-        angles = (
-            BlochAngles(theta=merged["theta1"], phi=merged.get("phi1", 0.0)),
-            BlochAngles(theta=merged["theta2"], phi=merged.get("phi2", 0.0)),
-        )
+        angles = (BlochAngles(**fields["q1"]), BlochAngles(**fields["q2"]))
     return ScenarioConfig(
         params=params,
         grid=grid,
-        observable=merged["observable"],
         angles=angles,
-        method=merged.get("method", "analytic"),
-        power_method=merged.get("power-method", "quad"),
-        mc=MonteCarloSpec(
-            n_samples=merged.get("mc-samples", 100_000), seed=merged.get("seed", 0)
-        ),
-        quad=QuadratureSpec(
-            nodes_per_axis=merged.get("quad-nodes", 64),
-            rel_tolerance=merged.get("quad-tol", 1e-9),
-        ),
-        out=merged.get("out", "-"),
+        mc=MonteCarloSpec(**fields["mc"]),
+        quad=QuadratureSpec(**fields["quad"]),
+        **fields["config"],
     )
 
 
@@ -172,39 +178,26 @@ def config_text(config: ScenarioConfig) -> str:
 
     parse_config(config_text(c)) reproduces c exactly.
     """
-    lines = [
-        f"R = {config.params.R:.17g}",
-        f"beta = {config.params.beta:.17g}",
-        f"omega-ratio = {config.params.Omega:.17g}",
-        f"observable = {config.observable}",
-        f"tau-min = {config.grid.tau_start:.17g}",
-        f"tau-max = {config.grid.tau_end:.17g}",
-        f"tau-steps = {config.grid.n_points}",
-        f"method = {config.method}",
-        f"power-method = {config.power_method}",
-        f"mc-samples = {config.mc.n_samples}",
-        f"seed = {config.mc.seed}",
-        f"quad-nodes = {config.quad.nodes_per_axis}",
-        f"quad-tol = {config.quad.rel_tolerance:.17g}",
-        f"out = {config.out}",
-    ]
-    if config.angles is not None:
-        q1, q2 = config.angles
-        lines[4:4] = [
-            f"theta1 = {q1.theta:.17g}",
-            f"phi1 = {q1.phi:.17g}",
-            f"theta2 = {q2.theta:.17g}",
-            f"phi2 = {q2.phi:.17g}",
-        ]
+    q1, q2 = config.angles or (None, None)
+    parts = {"config": config, "params": config.params, "grid": config.grid,
+             "q1": q1, "q2": q2, "mc": config.mc, "quad": config.quad}
+    lines = []
+    for opt in OPTIONS.values():
+        if parts[opt.part] is not None:
+            value = getattr(parts[opt.part], opt.field)
+            text = format(value, ".17g") if opt.type is float else value
+            lines.append(f"{opt.key} = {text}")
     return "\n".join(lines) + "\n"
 
 
 def _survival_amplitudes(config: ScenarioConfig) -> np.ndarray:
-    model = build_amplitude_model(config.params)
-    if config.method == "oracle" or model.degenerate:
-        e_vals = amplitude_ode_oracle(config.params, config.grid)
-    else:
-        e_vals = amplitude(model, config.grid.taus())
+    # An overflow inside a route is reported once, as NonFiniteResult below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = build_amplitude_model(config.params)
+        if config.method == "oracle" or model.degenerate:
+            e_vals = amplitude_ode_oracle(config.params, config.grid)
+        else:
+            e_vals = amplitude(model, config.grid.taus())
     if not np.all(np.isfinite(e_vals)):
         raise NonFiniteResult(f"the survival amplitude overflowed for {config.params}")
     return e_vals
@@ -265,73 +258,51 @@ def emit_csv(series: TimeSeries, path) -> None:
         fh.write(text)
 
 
-FIGURE_IDS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig5", "fig6", "fig7", "fig8a", "fig8b")
+# The published parameter sets: weak and strong coupling, Omega = 1.5e9.
+WEAK = tuple(ModelParams(R=0.1, beta=b, Omega=1.5e9) for b in (0.0, 2e-9, 4e-9))
+STRONG = tuple(ModelParams(R=10.0, beta=b, Omega=1.5e9) for b in (0.0, 10e-9, 15e-9))
 
-_OMEGA = 1.5e9
-_WEAK_BETAS = (0.0, 2e-9, 4e-9)
-_STRONG_BETAS = (0.0, 10e-9, 15e-9)
-_FIG8_ANGLES = (
-    (math.pi / 2, 0.0, math.pi / 4, 0.0),
-    (math.pi / 2, 0.0, 0.0, 0.0),
-    (math.pi / 2, math.pi, math.pi / 4, 0.0),
+
+def _curves(observable, params, angles=(None,), grid=TimeGrid()) -> tuple[ScenarioConfig, ...]:
+    """One curve per parameter set and angle pair, in that order."""
+    return tuple(ScenarioConfig(params=p, grid=grid, observable=observable, angles=a)
+                 for p in params for a in angles)
+
+
+_FIG8_ANGLES = tuple(
+    (BlochAngles(t1, p1), BlochAngles(t2, p2)) for t1, p1, t2, p2 in (
+        (math.pi / 2, 0.0, math.pi / 4, 0.0),
+        (math.pi / 2, 0.0, 0.0, 0.0),
+        (math.pi / 2, math.pi, math.pi / 4, 0.0),
+    )
 )
 
-
-def _base_config(R, beta, observable, **kw) -> ScenarioConfig:
-    return ScenarioConfig(
-        params=ModelParams(R=R, beta=beta, Omega=_OMEGA),
-        grid=kw.pop("grid", TimeGrid(0.0, DEFAULT_TAU_MAX, DEFAULT_TAU_STEPS)),
-        observable=observable,
-        **kw,
-    )
+# Figure id -> one config per curve.  The entropy figures use theta = 0
+# (initially excited qubit); the density snapshot uses the
+# |e> (x) (|e>+|g>)/sqrt(2) initial state at tau = 1; fig8 takes the weak
+# set's beta = 2e-9 at both couplings.
+_PRESETS = {
+    "fig2a": _curves("entropy", WEAK),
+    "fig2b": _curves("entropy-avg", WEAK),
+    "fig3a": _curves("entropy", STRONG),
+    "fig3b": _curves("entropy-avg", STRONG),
+    "fig5": _curves("power", STRONG),
+    "fig6": _curves("density", (STRONG[0], STRONG[2]),
+                    ((BlochAngles(theta=0.0), BlochAngles(theta=math.pi / 2, phi=0.0)),),
+                    TimeGrid(1.0, 1.0, 1)),
+    "fig7": _curves("power", WEAK),
+    "fig8a": _curves("concurrence", (replace(WEAK[1], R=STRONG[1].R),), _FIG8_ANGLES),
+    "fig8b": _curves("concurrence", WEAK[1:2], _FIG8_ANGLES),
+}
+FIGURE_IDS = tuple(_PRESETS)
 
 
 def figure_preset(fig_id: str) -> list[ScenarioConfig]:
-    """Parameter sets behind each published figure, one config per curve.
-
-    Outputs are CSV curve data; the entropy figures use theta=0 (initially
-    excited qubit), the density snapshot uses the |e> (x) (|e>+|g>)/sqrt(2)
-    initial state at tau = 1.
-    """
-    excited_then_plus = (
-        BlochAngles(theta=0.0), BlochAngles(theta=math.pi / 2, phi=0.0)
-    )
-    if fig_id == "fig2a":
-        configs = [_base_config(0.1, b, "entropy") for b in _WEAK_BETAS]
-    elif fig_id == "fig2b":
-        configs = [_base_config(0.1, b, "entropy-avg") for b in _WEAK_BETAS]
-    elif fig_id == "fig3a":
-        configs = [_base_config(10.0, b, "entropy") for b in _STRONG_BETAS]
-    elif fig_id == "fig3b":
-        configs = [_base_config(10.0, b, "entropy-avg") for b in _STRONG_BETAS]
-    elif fig_id == "fig5":
-        configs = [_base_config(10.0, b, "power") for b in _STRONG_BETAS]
-    elif fig_id == "fig6":
-        configs = [
-            _base_config(
-                10.0, b, "density",
-                grid=TimeGrid(1.0, 1.0, 1),
-                angles=excited_then_plus,
-            )
-            for b in (0.0, 15e-9)
-        ]
-    elif fig_id == "fig7":
-        configs = [_base_config(0.1, b, "power") for b in _WEAK_BETAS]
-    elif fig_id in ("fig8a", "fig8b"):
-        r = 10.0 if fig_id == "fig8a" else 0.1
-        configs = [
-            _base_config(
-                r, 2e-9, "concurrence",
-                angles=(BlochAngles(t1, p1), BlochAngles(t2, p2)),
-            )
-            for t1, p1, t2, p2 in _FIG8_ANGLES
-        ]
-    else:
+    """Parameter sets behind each published figure, one config per curve,
+    each writing its CSV to ``<fig_id>_curve<i>.csv``."""
+    if fig_id not in _PRESETS:
         raise UnknownFigure(f"unknown figure id {fig_id!r} (known: {', '.join(FIGURE_IDS)})")
-
-    return [
-        replace(cfg, out=f"{fig_id}_curve{i}.csv") for i, cfg in enumerate(configs)
-    ]
+    return [replace(cfg, out=f"{fig_id}_curve{i}.csv") for i, cfg in enumerate(_PRESETS[fig_id])]
 
 
 def run_figure(fig_id: str, outdir) -> list[Path]:

@@ -27,12 +27,7 @@ from .measures import (
     post_bsm_projection,
 )
 from .power import MonteCarloSpec, QuadratureSpec, entangling_power_mc, entangling_power_quadrature
-
-PAPER_PARAM_SETS = tuple(
-    ModelParams(R=r, beta=b, Omega=1.5e9)
-    for r, betas in ((0.1, (0.0, 2e-9, 4e-9)), (10.0, (0.0, 10e-9, 15e-9)))
-    for b in betas
-)
+from .scenario import STRONG, WEAK
 
 
 def check_model_invariants():
@@ -60,17 +55,16 @@ def check_model_invariants():
 
 def check_static_reduction():
     taus = np.linspace(0.0, 50.0, 1000)
-    for r in (0.1, 10.0):
-        model = build_amplitude_model(ModelParams(R=r, beta=0.0, Omega=1.5e9))
-        got = amplitude(model, taus)
-        ref = np.array([closed_form_beta0(r, t) for t in taus])
+    for params in (WEAK[0], STRONG[0]):
+        got = amplitude(build_amplitude_model(params), taus)
+        ref = np.array([closed_form_beta0(params.R, t) for t in taus])
         worst = np.max(np.abs(got - ref))
-        assert worst < 1e-10, f"beta=0 reduction off by {worst} at R={r}"
+        assert worst < 1e-10, f"beta=0 reduction off by {worst} at R={params.R}"
 
 
 def check_ode_oracle_agreement():
     grid = TimeGrid(0.0, 50.0, 501)
-    for params in PAPER_PARAM_SETS:
+    for params in WEAK + STRONG:
         model = build_amplitude_model(params)
         analytic = amplitude(model, grid.taus())
         oracle = amplitude_ode_oracle(params, grid, step=1e-3)
@@ -80,7 +74,7 @@ def check_ode_oracle_agreement():
 
 def check_contractivity_and_stability():
     taus = np.linspace(0.0, 100.0, 2001)
-    for params in PAPER_PARAM_SETS:
+    for params in WEAK + STRONG:
         model = build_amplitude_model(params)
         assert max(q.real for q in model.roots) <= 1e-12, f"growing root for {params}"
         mags = np.abs(amplitude(model, taus))

@@ -31,11 +31,9 @@ from qubitswap.power import (
     entangling_power_mc,
     entangling_power_quadrature,
 )
-from qubitswap.scenario import figure_preset, run_figure, run_scan
+from qubitswap.scenario import STRONG, WEAK, figure_preset, run_figure, run_scan
 
 OMEGA = 1.5e9
-WEAK = [ModelParams(R=0.1, beta=b, Omega=OMEGA) for b in (0.0, 2e-9, 4e-9)]
-STRONG = [ModelParams(R=10.0, beta=b, Omega=OMEGA) for b in (0.0, 10e-9, 15e-9)]
 
 
 def report(criterion, ok, detail=""):

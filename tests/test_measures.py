@@ -27,6 +27,13 @@ class TestBlochAngles:
     def test_phi_wraps(self):
         assert BlochAngles(theta=1.0, phi=5 * math.pi).phi == pytest.approx(math.pi)
 
+    @pytest.mark.parametrize("phi", [-1e-300, -1e-17, -4e-16])
+    def test_tiny_negative_phi_wraps_to_zero(self, phi):
+        # phi % 2pi rounds to 2pi here; stored phi must stay in [0, 2pi)
+        wrapped = BlochAngles(theta=1.0, phi=phi).phi
+        assert wrapped == 0.0
+        assert BlochAngles(theta=1.0, phi=wrapped).phi == wrapped
+
     def test_theta_range(self):
         with pytest.raises(RangeError):
             BlochAngles(theta=-0.1)

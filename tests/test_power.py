@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from qubitswap import power
-from qubitswap.amplitude import ModelParams, TimeGrid, build_amplitude_model
+from qubitswap.amplitude import ModelParams, TimeGrid
 from qubitswap.errors import NotConverged, RangeError
 from qubitswap.measures import BlochAngles, concurrence_closed, post_bsm_projection
 from qubitswap.power import (
@@ -16,9 +16,9 @@ from qubitswap.power import (
     entangling_power_mc,
     entangling_power_mc_grid,
     entangling_power_quadrature,
-    entangling_power_series,
     reduced_integrand,
 )
+from qubitswap.scenario import ScenarioConfig, run_scan
 
 # Average swapped concurrence at p=1, frozen from a 1e7-sample Monte Carlo
 # over the full 4-angle product-state measure (seed 12345).
@@ -223,30 +223,28 @@ class TestMonteCarlo:
         assert abs(mean - entangling_power_quadrature(p)) <= 3 * stderr
 
 
+def power_scan(params, grid, method="analytic"):
+    config = ScenarioConfig(params=params, grid=grid, observable="power", method=method)
+    return run_scan(config).values[:, 0]
+
+
 class TestSeries:
+    """Power along a time grid, through run_scan's amplitude routes."""
+
     def test_initial_value_is_unit_p_power(self):
-        params = ModelParams(R=10.0, beta=0.0, Omega=1.5e9)
-        grid = TimeGrid(0.0, 2.0, 21)
-        series = entangling_power_series(params, grid, model=build_amplitude_model(params))
+        series = power_scan(ModelParams(R=10.0, beta=0.0, Omega=1.5e9), TimeGrid(0.0, 2.0, 21))
         assert series[0] == pytest.approx(entangling_power_quadrature(1.0), abs=1e-9)
 
     def test_depends_only_on_survival_probability(self):
         # the power is a pure function of p: repeated evaluation is bit-equal,
-        # and a repeated series is too (cache contract)
+        # and a repeated series is too
         assert entangling_power_quadrature(0.37) == entangling_power_quadrature(0.37)
         params = ModelParams(R=0.1, beta=0.0, Omega=1.5e9)
-        model = build_amplitude_model(params)
         grid = TimeGrid(0.0, 1.0, 5)
-        a = entangling_power_series(params, grid, model=model)
-        b = entangling_power_series(params, grid, model=model)
-        assert np.array_equal(a, b)
+        assert np.array_equal(power_scan(params, grid), power_scan(params, grid))
 
     def test_movement_slows_decay(self):
         grid = TimeGrid(1.0, 1.0, 1)
-        static = entangling_power_series(
-            ModelParams(R=10.0, beta=0.0, Omega=1.5e9), grid
-        )
-        moving = entangling_power_series(
-            ModelParams(R=10.0, beta=15e-9, Omega=1.5e9), grid
-        )
+        static = power_scan(ModelParams(R=10.0, beta=0.0, Omega=1.5e9), grid, "oracle")
+        moving = power_scan(ModelParams(R=10.0, beta=15e-9, Omega=1.5e9), grid, "oracle")
         assert moving[0] > static[0]

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubitswap import cli, scenario, validate
 from qubitswap.cli import main
-from qubitswap.errors import ParseError, RangeError, UnknownFigure
+from qubitswap.errors import ParseError, QubitSwapError, RangeError, UnknownFigure
 from qubitswap.scenario import (
     FIGURE_IDS,
+    OPTIONS,
     TimeSeries,
     config_text,
     emit_csv,
@@ -85,6 +88,88 @@ class TestParseConfig:
             }
         )
         assert parse_config({}, file_text=config_text(config)) == config
+
+
+class TestConfigText:
+    def test_bytes_with_angles(self):
+        assert config_text(figure_preset("fig8a")[2]) == (
+            "R = 10\nbeta = 2.0000000000000001e-09\nomega-ratio = 1500000000\n"
+            "observable = concurrence\ntheta1 = 1.5707963267948966\n"
+            "phi1 = 3.1415926535897931\ntheta2 = 0.78539816339744828\nphi2 = 0\n"
+            "tau-min = 0\ntau-max = 50\ntau-steps = 1000\nmethod = analytic\n"
+            "power-method = quad\nmc-samples = 100000\nseed = 0\nquad-nodes = 64\n"
+            "quad-tol = 1.0000000000000001e-09\nout = fig8a_curve2.csv\n"
+        )
+
+    def test_bytes_without_angles(self):
+        assert config_text(figure_preset("fig5")[1]) == (
+            "R = 10\nbeta = 1e-08\nomega-ratio = 1500000000\nobservable = power\n"
+            "tau-min = 0\ntau-max = 50\ntau-steps = 1000\nmethod = analytic\n"
+            "power-method = quad\nmc-samples = 100000\nseed = 0\nquad-nodes = 64\n"
+            "quad-tol = 1.0000000000000001e-09\nout = fig5_curve1.csv\n"
+        )
+
+
+# The documented input box, per numeric option: (least, greatest) value.
+# R and Omega stop well below the bound where their squares overflow.
+BOX = {
+    "R": (1e-300, 1e150), "beta": (0.0, 9.99e-4), "omega-ratio": (1e-300, 1e150),
+    "theta1": (0.0, math.pi), "phi1": (-1e300, 1e300),
+    "theta2": (0.0, math.pi), "phi2": (-1e300, 1e300),
+    "tau-min": (0.0, 1e300), "tau-max": (0.0, 1e300), "tau-steps": (2, 10**9),
+    "mc-samples": (1, 10**9), "seed": (0, 2**64 - 1),
+    "quad-nodes": (16, 10**6), "quad-tol": (1e-10, 1e300),
+}
+ANGLE_KEYS = ("theta1", "phi1", "theta2", "phi2")
+
+
+@st.composite
+def option_values(draw):
+    """A valid option dict drawn by each option's table type; optional keys
+    are left out at random so that defaults are exercised too."""
+    drawn = {}
+    for key, opt in OPTIONS.items():
+        if opt.choices:
+            drawn[key] = draw(st.sampled_from(opt.choices))
+        elif opt.type is str:
+            drawn[key] = draw(st.text("abcxyz019_-./", min_size=1))
+        elif opt.type is int:
+            drawn[key] = draw(st.integers(*BOX[key]))
+        else:
+            drawn[key] = draw(st.floats(*BOX[key]))
+    drawn["tau-min"], drawn["tau-max"] = sorted((drawn["tau-min"], drawn["tau-max"]))
+    keep = {key for key in OPTIONS if draw(st.booleans())} | {"R", "omega-ratio", "observable"}
+    if drawn["observable"] in ("concurrence", "density"):
+        keep |= {"theta1", "theta2"}
+    if not {"theta1", "theta2"} <= keep:  # a phi needs both thetas
+        keep -= set(ANGLE_KEYS)
+    if not {"tau-min", "tau-max"} <= keep:  # tau-min may exceed the default tau-max
+        keep -= {"tau-min", "tau-max"}
+    return {key: value for key, value in drawn.items() if key in keep}
+
+
+def as_text(key, value):
+    return format(value, ".17g") if OPTIONS[key].type is float else str(value)
+
+
+class TestOptionTableProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(option_values())
+    def test_config_text_round_trip(self, values):
+        config = parse_config(values)
+        assert parse_config({}, file_text=config_text(config)) == config
+
+    @settings(max_examples=100, deadline=None)
+    @given(option_values())
+    def test_argv_from_table_parses_to_same_config(self, values):
+        seen = []
+        argv = ["scan"] + [f"--{key}={as_text(key, value)}" for key, value in values.items()]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "run_scan", seen.append)
+            mp.setattr(cli, "format_csv", lambda series: "")
+            mp.setattr(cli, "emit_csv", lambda series, path: None)
+            assert main(argv) == 0
+        assert seen == [parse_config(values)]
 
 
 class TestRunScan:
@@ -377,6 +462,26 @@ class TestCliInputErrors:
         assert main(self.BASE) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numeric failure:")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("R", ["1e50", "1e110", "1e150"])
+    def test_overflowing_amplitude_is_one_line(self, capsys, R):
+        # the analytic route overflows from about R = 1e50 (solve_cubic's
+        # Newton polish, amplitude's exp) and must not warn on the way
+        assert main(self.with_flag(self.BASE, "--R", R)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numeric failure: the survival amplitude overflowed")
+
+    @pytest.mark.parametrize("error", QubitSwapError.__subclasses__(), ids=lambda e: e.__name__)
+    def test_every_package_error_is_one_line(self, capsys, monkeypatch, error):
+        def failing(config):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "run_scan", failing)
+        usage = error in (ParseError, RangeError, UnknownFigure)
+        assert main(self.BASE) == (1 if usage else 2)
+        assert capsys.readouterr().err == ("error: boom\n" if usage else "numeric failure: boom\n")
 
     def test_unexpected_exception_is_one_line(self, capsys, monkeypatch):
         def broken(config):
