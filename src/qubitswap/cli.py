@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -24,6 +25,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="evaluate one observable over a time grid")
+    # argparse's negative-number pattern has no exponent, so it would read
+    # "--phi1 -1e-05" as two options; any "-digit" word here is a value.
+    scan._negative_number_matcher = re.compile(r"^-\.?\d")
     scan.add_argument("--config", type=Path, help="flat key = value config file")
     for opt in OPTIONS.values():
         scan.add_argument(f"--{opt.key}", type=opt.type, choices=opt.choices, help=opt.help)

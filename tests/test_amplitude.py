@@ -16,10 +16,42 @@ from qubitswap.amplitude import (
     solve_cubic,
 )
 from qubitswap.errors import DegenerateModel, RangeError, StepTooLarge
+from qubitswap.scenario import STRONG, WEAK
 
 
 def residual(c, r):
     return abs(((r + c.a2) * r + c.a1) * r + c.a0)
+
+
+def rk4_loop_reference(params, grid, step=1e-3):
+    """The oracle's classical RK4, one step at a time: each span between grid
+    points takes ceil(span/step) equal steps.  amplitude_ode_oracle applies
+    the same steps as powers of the one-step matrix."""
+    yp, ym = params.y_plus, params.y_minus
+    k = params.R**2 / 4
+
+    def deriv(e, zp, zm):
+        return -k * (zp + zm), e - yp * zp, e - ym * zm
+
+    e, zp, zm = 1 + 0j, 0j, 0j
+    out = []
+    t0 = 0.0
+    for t1 in grid.taus():
+        span = t1 - t0
+        t0 = t1
+        if span > 0:
+            n_sub = max(1, int(np.ceil(span / step - 1e-12)))
+            h = span / n_sub
+            for _ in range(n_sub):
+                d1 = deriv(e, zp, zm)
+                d2 = deriv(e + h / 2 * d1[0], zp + h / 2 * d1[1], zm + h / 2 * d1[2])
+                d3 = deriv(e + h / 2 * d2[0], zp + h / 2 * d2[1], zm + h / 2 * d2[2])
+                d4 = deriv(e + h * d3[0], zp + h * d3[1], zm + h * d3[2])
+                e += h / 6 * (d1[0] + 2 * d2[0] + 2 * d3[0] + d4[0])
+                zp += h / 6 * (d1[1] + 2 * d2[1] + 2 * d3[1] + d4[1])
+                zm += h / 6 * (d1[2] + 2 * d2[2] + 2 * d3[2] + d4[2])
+        out.append(e)
+    return np.array(out)
 
 
 class TestModelParams:
@@ -235,6 +267,33 @@ class TestOdeOracle:
     def test_rejects_bad_step(self):
         with pytest.raises(RangeError):
             amplitude_ode_oracle(ModelParams(R=1, beta=0, Omega=1), TimeGrid(0, 1, 3), step=0.0)
+
+    @pytest.mark.parametrize(
+        "params,grid",
+        [(p, TimeGrid(0.0, 50.0, 501)) for p in WEAK + STRONG]
+        + [
+            (ModelParams(R=3.7, beta=7e-9, Omega=1.5e9), TimeGrid(2.5, 17.3, 333)),
+            (ModelParams(R=0.1, beta=2e-9, Omega=1.5e9), TimeGrid(1.0, 1.0, 1)),
+            (ModelParams(R=1 / math.sqrt(2), beta=0.0, Omega=1.0), TimeGrid(0.0, 50.0, 501)),
+        ],
+    )
+    def test_matrix_form_equals_step_loop(self, params, grid):
+        out = amplitude_ode_oracle(params, grid)
+        assert np.max(np.abs(out - rk4_loop_reference(params, grid))) < 1e-13
+
+    @pytest.mark.parametrize("R", [20.0, 140.0])
+    def test_step_guard_accepts_rabi_rate_below_bound(self, R):
+        # step * R/sqrt(2) <= 0.1 up to R = 141.4 at the default step
+        params = ModelParams(R=R, beta=0.0, Omega=1.5e9)
+        grid = TimeGrid(0.0, 5.0, 501)
+        ref = np.array([closed_form_beta0(R, t) for t in grid.taus()])
+        assert np.max(np.abs(amplitude_ode_oracle(params, grid) - ref)) < 1e-4
+
+    @pytest.mark.parametrize("R", [142.0, 1000.0, 3000.0])
+    def test_step_guard_counts_rabi_rate(self, R):
+        # |y+-| = 1 here; the oscillating roots approach +-iR/sqrt(2)
+        with pytest.raises(StepTooLarge, match="R/sqrt"):
+            amplitude_ode_oracle(ModelParams(R=R, beta=0.0, Omega=1.5e9), TimeGrid(0.0, 1.0, 3))
 
 
 class TestTimeGrid:

