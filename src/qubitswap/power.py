@@ -163,7 +163,7 @@ def entangling_power_mc_grid(p, spec: MonteCarloSpec) -> tuple[np.ndarray, np.nd
     for i, pi in enumerate(p.flat):
         x_sq = pi * c1c2_sq
         denom = 2 * x_sq + y_sq
-        conc = np.where(denom > 0, 2 * x_sq / np.maximum(denom, 1e-300), 0.0)
+        conc = 2 * x_sq / np.maximum(denom, 1e-300)  # +0 where denom is 0
         means.flat[i] = conc.mean()
         stderrs.flat[i] = conc.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
     return means, stderrs

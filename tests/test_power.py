@@ -164,6 +164,11 @@ class TestOneDimensionalRule:
     def test_half_is_one_third(self):
         assert abs(entangling_power_quadrature(0.5) - 1 / 3) <= 1e-14
 
+    def test_unit_p_is_two_catalan_minus_two_ln2(self):
+        # P(1) = 2G - 2 ln 2, G Catalan's constant (50-digit quadrature and PSLQ)
+        catalan = 0.915965594177219015054603514932384110774
+        assert abs(entangling_power_quadrature(1.0) - (2 * catalan - 2 * math.log(2))) <= 1e-14
+
     def test_array_equals_scalar(self):
         ps = np.concatenate([[0.0, 1e-300, 1e-40], np.linspace(0.0, 1.0, 301)])
         vals = entangling_power_grid(ps)

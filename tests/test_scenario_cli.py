@@ -276,11 +276,27 @@ class TestEmitCsv:
 
 
 def reference_format_csv(series):
-    """Per-value formatting, the reference for format_csv's single pass."""
+    """Per-value formatting, the reference for format_csv's vectorised formatter."""
     lines = [",".join(series.columns)]
     for tau, row in zip(series.taus, series.values):
         lines.append(",".join(f"{v:.17g}" for v in (tau, *row)))
     return "\n".join(lines) + "\n"
+
+
+def assert_formats_like_reference(series):
+    """format_csv equals reference_format_csv; a failure names the first
+    differing lines instead of diffing megabytes of text."""
+    got, want = format_csv(series), reference_format_csv(series)
+    if got != want:
+        diff = [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w]
+        pytest.fail(f"{len(diff)} lines differ from the reference, first: {diff[:3]}")
+
+
+def series_of(values, width):
+    """The values as rows of width columns, after a tau column 0, 1, 2, ..."""
+    block = np.reshape(np.asarray(values, dtype=float), (-1, width))
+    columns = ("tau", *(f"c{i}" for i in range(width)))
+    return TimeSeries(columns, np.arange(float(len(block))), block)
 
 
 class TestFormatCsv:
@@ -304,7 +320,37 @@ class TestFormatCsv:
         signs = rng.choice([-1.0, 1.0], size=(n, 4))
         values = signs * rng.uniform(1, 10, (n, 4)) * 10 ** rng.uniform(-300, 300, (n, 4))
         series = TimeSeries(("tau", "a", "b", "c", "d"), taus, values)
-        assert format_csv(series) == reference_format_csv(series)
+        assert_formats_like_reference(series)
+
+    def test_rounding_edges(self):
+        # 2**-25 and 43 * 2**-22 are exact ties at 17 digits, to even and
+        # up; 99999999999999999.0 rounds up to 1e17; log10 of a neighbour of
+        # 10**k can round across it
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.0**-25, 43 * 2.0**-22, 1e16, 1e17,
+                 99999999999999999.0]
+        for k in range(-300, 301):
+            x = 10.0**k
+            edges += [x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)]
+        series = series_of(edges, 1)
+        assert_formats_like_reference(series)
+
+    def test_fallback_boundaries(self):
+        values = [math.inf, -math.inf, math.nan, -math.nan]
+        for x in (1e280, 1e-280):
+            values += [x, -x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+        series = series_of(values, 3)
+        assert_formats_like_reference(series)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(5).integers(0, 2**64, 100_000, dtype=np.uint64)
+        series = series_of(bits.view(np.float64), 4)
+        assert_formats_like_reference(series)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(), max_size=60), st.integers(1, 5))
+    def test_matches_per_value_formatting(self, values, width):
+        series = series_of(values[:len(values) // width * width], width)
+        assert_formats_like_reference(series)
 
 
 class TestFigurePresets:
