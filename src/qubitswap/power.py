@@ -146,26 +146,52 @@ def entangling_power_quadrature(p: float, spec: QuadratureSpec = QuadratureSpec(
 
 
 def entangling_power_mc_grid(p, spec: MonteCarloSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo (mean, standard error) arrays of p's shape.  cos(theta)
-    uniform on [-1, 1] and phi uniform on [0, 2pi) are drawn for both qubits
-    once, seeded, and the closed-form concurrence is averaged over them at
-    every p."""
+    """Monte Carlo (mean, standard error) arrays of p's shape.
+
+    u = cos(theta) uniform on [-1, 1] and phi uniform on [0, 2pi) are drawn
+    for both qubits once, seeded (u1, u2, then phi1, phi2), and the
+    closed-form concurrence 2|X|^2 / (2|X|^2 + |Y|^2) of post_bsm_projection
+    is averaged over them at every p.  With theta in [0, pi] the half angles
+    need no trigonometry: c = cos(theta/2) = sqrt((1 + u)/2) and
+    s = sin(theta/2) = sqrt((1 - u)/2).  Then |X|^2 = p A with A = (c1 c2)^2,
+    and with a = s1 c2, b = s2 c1, d = phi1 - phi2,
+
+        |Y|^2 = |a e^{i phi1} - b e^{i phi2}|^2 = a^2 + b^2 - 2ab cos d
+              = (a - b)^2 + 4ab sin^2(d/2),
+
+    a sum of two non-negative terms, so no more cancellation than in the
+    complex difference.  Dividing through by 2A, the concurrence is
+    p / (p + r) with r = |Y|^2 / (2A) fixed by the draws: r = +inf where
+    A = 0 (concurrence 0) and r = 0 on the ridge |Y| = 0 (concurrence 1).
+    Each p then costs one add and one divide per sample.  The mean is
+    numpy's pairwise sum over n; the standard error takes the sum of squares
+    from einsum, never BLAS, so neither depends on thread counts.  Exactly
+    (0.0, 0.0) where p = 0."""
     p = _checked_p(p)
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
-    t1, t2 = np.arccos(rng.uniform(-1, 1, (2, n)))
+    u1, u2 = rng.uniform(-1, 1, (2, n))
     ph1, ph2 = rng.uniform(0, 2 * math.pi, (2, n))
-    c1, s1 = np.cos(t1 / 2), np.sin(t1 / 2)
-    c2, s2 = np.cos(t2 / 2), np.sin(t2 / 2)
-    c1c2_sq = (c1 * c2) ** 2
-    y_sq = np.abs(s1 * c2 * np.exp(1j * ph1) - s2 * c1 * np.exp(1j * ph2)) ** 2
-    means, stderrs = np.empty(p.shape), np.empty(p.shape)
+    c1, s1 = np.sqrt((1 + u1) / 2), np.sqrt((1 - u1) / 2)
+    c2, s2 = np.sqrt((1 + u2) / 2), np.sqrt((1 - u2) / 2)
+    a, b = s1 * c2, s2 * c1
+    y_sq = (a - b) ** 2 + 4 * a * b * np.sin((ph1 - ph2) / 2) ** 2
+    two_c1c2_sq = 2 * (c1 * c2) ** 2
+    r = np.full(n, math.inf)
+    np.divide(y_sq, two_c1c2_sq, out=r, where=two_c1c2_sq > 0)
+
+    means, stderrs = np.zeros(p.shape), np.zeros(p.shape)
+    conc = np.empty(n)
     for i, pi in enumerate(p.flat):
-        x_sq = pi * c1c2_sq
-        denom = 2 * x_sq + y_sq
-        conc = 2 * x_sq / np.maximum(denom, 1e-300)  # +0 where denom is 0
-        means.flat[i] = conc.mean()
-        stderrs.flat[i] = conc.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+        if pi == 0:  # 0/(0 + 0) on the ridge
+            continue
+        np.add(r, pi, out=conc)
+        np.divide(pi, conc, out=conc)
+        total = float(conc.sum())
+        means.flat[i] = total / n
+        if n > 1:  # rounding can take the one-pass sum of squares below 0
+            sq_dev = max(float(np.einsum("i,i->", conc, conc)) - total * (total / n), 0.0)
+            stderrs.flat[i] = math.sqrt(sq_dev / (n - 1)) / math.sqrt(n)
     return means, stderrs
 
 

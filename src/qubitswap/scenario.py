@@ -61,6 +61,11 @@ class ScenarioConfig:
             )
 
 
+def _check_increasing(taus: np.ndarray) -> None:
+    if len(taus) > 1 and not np.all(np.diff(taus) > 0):
+        raise RangeError("tau values must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Sampled observable columns against scaled time."""
@@ -72,8 +77,7 @@ class TimeSeries:
     def __post_init__(self):
         if self.columns[0] != "tau":
             raise RangeError("first column must be tau")
-        if len(self.taus) > 1 and not np.all(np.diff(self.taus) > 0):
-            raise RangeError("tau values must be strictly increasing")
+        _check_increasing(self.taus)
         if self.values.shape != (len(self.taus), len(self.columns) - 1):
             raise RangeError("value block shape does not match columns")
 
@@ -208,6 +212,7 @@ def _survival_amplitudes(config: ScenarioConfig) -> np.ndarray:
 def run_scan(config: ScenarioConfig) -> TimeSeries:
     """Evaluate the configured observable on the time grid."""
     taus = config.grid.taus()
+    _check_increasing(taus)  # fail before any amplitude or power work
     e_vals = _survival_amplitudes(config)
 
     obs = config.observable

@@ -75,6 +75,45 @@ def mc_reference(p: float, spec: MonteCarloSpec) -> tuple[float, float]:
     return float(conc.mean()), stderr
 
 
+def mc_half_angle_reference(p: float, spec: MonteCarloSpec) -> tuple[float, float]:
+    """Per-p loop of the package's half-angle arithmetic, drawing its own
+    samples: the concurrence is p / (p + r), r = |Y|^2 / (2 (c1 c2)^2)."""
+    if p == 0:
+        return 0.0, 0.0
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n_samples
+    u1 = rng.uniform(-1, 1, n)
+    u2 = rng.uniform(-1, 1, n)
+    ph1 = rng.uniform(0, 2 * math.pi, n)
+    ph2 = rng.uniform(0, 2 * math.pi, n)
+    c1, s1 = np.sqrt((1 + u1) / 2), np.sqrt((1 - u1) / 2)
+    c2, s2 = np.sqrt((1 + u2) / 2), np.sqrt((1 - u2) / 2)
+    a, b = s1 * c2, s2 * c1
+    y_sq = (a - b) ** 2 + 4 * a * b * np.sin((ph1 - ph2) / 2) ** 2
+    two_c1c2_sq = 2 * (c1 * c2) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(two_c1c2_sq > 0, y_sq / two_c1c2_sq, math.inf)
+    conc = p / (p + r)
+    total = float(np.sum(conc))
+    if n == 1:
+        return total, 0.0
+    sq_dev = max(float(np.einsum("i,i->", conc, conc)) - total * (total / n), 0.0)
+    return total / n, math.sqrt(sq_dev / (n - 1)) / math.sqrt(n)
+
+
+class FixedDraws:
+    """Stands in for numpy's Generator: hands out the given u = cos(theta)
+    rows, then the given phi rows, one (2, n) block per uniform() call."""
+
+    def __init__(self, u1, u2, ph1, ph2):
+        self.blocks = [np.array([u1, u2], dtype=float), np.array([ph1, ph2], dtype=float)]
+
+    def uniform(self, low, high, size):
+        block = self.blocks.pop(0)
+        assert block.shape == size and np.all((low <= block) & (block <= high))
+        return block
+
+
 class TestSpecs:
     def test_quadrature_bounds(self):
         with pytest.raises(RangeError):
@@ -214,13 +253,52 @@ class TestMonteCarlo:
         assert a != b
 
     def test_shared_draws_match_per_p_loop(self):
-        spec = MonteCarloSpec(n_samples=20_000, seed=3)
         ps = np.array([0.0, 1e-300, 1e-12, 0.25, 0.5, 1.0])
-        means, stderrs = entangling_power_mc_grid(ps, spec)
-        for p, mean, stderr in zip(ps, means, stderrs):
-            ref = mc_reference(float(p), spec)
-            assert (mean, stderr) == ref
-            assert entangling_power_mc(float(p), spec) == ref
+        for spec in (MonteCarloSpec(n_samples=20_000, seed=3), MonteCarloSpec(n_samples=1, seed=3)):
+            means, stderrs = entangling_power_mc_grid(ps, spec)
+            for p, mean, stderr in zip(ps, means, stderrs):
+                ref = mc_half_angle_reference(float(p), spec)
+                assert (mean, stderr) == ref
+                assert entangling_power_mc(float(p), spec) == ref
+
+    @pytest.mark.parametrize("seed", [3, 9, 1999951809])
+    def test_matches_complex_arithmetic(self, seed):
+        # same draws as the complex-exponential form; only rounding differs
+        spec = MonteCarloSpec(n_samples=50_000, seed=seed)
+        ps = [1e-300, 1e-12, 1e-3, 0.25, 0.5, 1.0]
+        for p, mean, stderr in zip(ps, *entangling_power_mc_grid(np.array(ps), spec)):
+            ref_mean, ref_stderr = mc_reference(p, spec)
+            assert abs(mean - ref_mean) <= 1e-12 * ref_mean
+            assert abs(stderr - ref_stderr) <= 1e-9 * ref_stderr
+
+    @pytest.mark.parametrize("u1,u2,ph1,ph2,ridge", [
+        # A = 0 (u = -1 on either side, or both), then the ridge |Y| = 0
+        ([-1, 0.3, -1, 1, -1, 1, 0.2], [0.3, -1, -1, -1, 1, 1, 0.2],
+         [0.1, 2, 1, 0, 3, 0.5, 1.7], [2, 0.1, 1, 3, 0, 0.5, 1.7], 2),
+        ([-1, -1, 0.5], [-1, 0.5, -1], [1, 2, 3], [1, 4, 5], 0),
+        ([0.7] * 3, [0.7] * 3, [2.5] * 3, [2.5] * 3, 3),
+        ([-1], [0.4], [1.0], [2.0], 0),
+    ])
+    def test_degenerate_samples(self, monkeypatch, u1, u2, ph1, ph2, ridge):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraws(u1, u2, ph1, ph2))
+        n = len(u1)
+        ps = np.array([0.0, 1e-300, 1e-12, 0.5, 1.0])
+        means, stderrs = entangling_power_mc_grid(ps, MonteCarloSpec(n_samples=n))
+        assert means[0] == 0.0 and stderrs[0] == 0.0
+        assert np.all(np.isfinite(means)) and np.all((means >= 0) & (means <= 1))
+        assert np.all(np.isfinite(stderrs)) and np.all(stderrs >= 0)
+        # every sample is on the ridge (concurrence 1) or has A = 0 (concurrence 0)
+        assert np.all(means[1:] == ridge / n)
+
+    @pytest.mark.parametrize("value", [0.4, 0.45, 0.7, 0.9])
+    def test_equal_samples_have_zero_stderr(self, monkeypatch, value):
+        # u1 = u2 = 0 gives A = 1/4 and |Y|^2 = sin^2(d/2), so r = 2 sin^2(d/2)
+        # and p = 1 makes the concurrence 1/(1 + r) = value in every sample
+        d = 2 * math.asin(math.sqrt((1 / value - 1) / 2))
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: FixedDraws([0.0] * 3, [0.0] * 3, [d] * 3, [0.0] * 3))
+        mean, stderr = entangling_power_mc(1.0, MonteCarloSpec(n_samples=3))
+        assert mean == pytest.approx(value, rel=1e-14) and 0 <= stderr < 1e-8
 
     @pytest.mark.parametrize("p", [1e-3, 0.1, 0.5, 1.0])
     def test_agrees_with_quadrature(self, p):

@@ -525,6 +525,19 @@ class TestCliInputErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numeric failure: step 0.001 too large")
 
+    @pytest.mark.parametrize("tau_max,steps", [("1", "40"), ("1.000000000000001", "100")])
+    def test_repeated_taus_fail_before_any_work(self, capsys, monkeypatch, tau_max, steps):
+        def no_work(*args):
+            raise AssertionError("no amplitude or Monte Carlo work may run")
+
+        monkeypatch.setattr(scenario, "entangling_power_mc_grid", no_work)
+        monkeypatch.setattr(scenario, "build_amplitude_model", no_work)
+        argv = ["scan", "--R", "0.1", "--omega-ratio", "1.5e9", "--observable", "power",
+                "--power-method", "mc", "--mc-samples", "3000000",
+                "--tau-min", "1", "--tau-max", tau_max, "--tau-steps", steps]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: tau values must be strictly increasing\n"
+
     def test_non_finite_amplitude_is_numeric_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(scenario, "amplitude", lambda model, t: np.full(len(t), np.nan + 0j))
         assert main(self.BASE) == 2
