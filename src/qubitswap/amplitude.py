@@ -29,6 +29,9 @@ DEGENERACY_GAP = 1e-6
 # R and beta*Omega above this overflow when squared in the cubic's coefficients.
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
+# numpy's NPY_MIN_ELIDE_BYTES: the smallest temporary it reuses in place.
+_ELIDE_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -184,8 +187,20 @@ def amplitude(model: AmplitudeModel, tau) -> complex | np.ndarray:
         )
     t = np.asarray(tau, dtype=float)
     out = np.zeros(t.shape, dtype=complex)
+    term = np.empty_like(out)  # a * exp(qi * t), one operation at a time in place
+    # The product keeps the operand order numpy gives ``a * np.exp(qi * t)``:
+    # from 256 KiB it reuses the temporary as ``exp(...) * a`` (temporary
+    # elision).  With SIMD fused multiply-adds the order moves a complex
+    # product's last bit, and with it the CSV bytes.
+    swapped = term.nbytes >= _ELIDE_BYTES
     for a, qi in zip(model.weights, model.roots):
-        out += a * np.exp(qi * t)
+        np.multiply(qi, t, out=term)
+        np.exp(term, out=term)
+        if swapped:
+            np.multiply(term, a, out=term)
+        else:
+            np.multiply(a, term, out=term)
+        out += term
     if t.ndim == 0:
         return complex(out)
     return out

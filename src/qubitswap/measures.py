@@ -12,7 +12,6 @@ the scalar result for the same E.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -148,6 +147,16 @@ def concurrence_closed(s: PostBsmState):
     return 2 * _sq(_abs(s.X)) / n
 
 
+def _population(amp, root_n):
+    """(z * conj(z)).real for z = amp / root_n, the product density_matrix's
+    outer product takes; for an array it is written over the conjugate."""
+    z = amp / root_n
+    if not isinstance(z, np.ndarray):
+        return (z * np.conj(z)).real
+    conj = np.conjugate(z)
+    return np.multiply(z, conj, out=conj).real
+
+
 def density_populations(s: PostBsmState) -> np.ndarray:
     """Diagonal of the post-measurement density matrix, (0, |X|^2, |X|^2,
     |Y|^2)/N, with one row of four per entry of a batched state.
@@ -158,10 +167,9 @@ def density_populations(s: PostBsmState) -> np.ndarray:
     eigenvalue and trace conditions DensityMatrix4 checks.
     """
     root_n = np.sqrt(_checked_norm(s))
-    x = np.asarray(s.X, dtype=complex) / root_n
-    y = s.Y / root_n
-    pop_x = (x * x.conj()).real
-    pops = np.stack([np.zeros_like(pop_x), pop_x, pop_x, (y * np.conj(y)).real], axis=-1)
+    pops = np.zeros((*np.shape(root_n), 4))
+    pops[..., 1] = pops[..., 2] = _population(np.asarray(s.X, dtype=complex), root_n)
+    pops[..., 3] = _population(s.Y, root_n)
     if np.min(pops, initial=0.0) < -1e-10:
         raise NonPhysicalInput("a population is below -1e-10")
     if not np.all(np.abs(pops.sum(axis=-1) - 1) <= 1e-12):
@@ -213,27 +221,3 @@ def concurrence_wootters(rho: DensityMatrix4) -> float:
     evals = np.sqrt(np.maximum(evals, 0.0))
     evals[::-1].sort()
     return float(max(0.0, evals[0] - evals[1] - evals[2] - evals[3]))
-
-
-class InitialStateClass(enum.Enum):
-    MAXIMALLY_ENTANGLED = "maximally-entangled"
-    ALWAYS_ZERO = "always-zero"
-    GENERIC = "generic"
-
-
-def classify_initial_state(q1: BlochAngles, q2: BlochAngles) -> InitialStateClass:
-    """Sort an initial angle pair into the analytic regimes of the swapped
-    concurrence: |Y| = 0 gives a time-independent singlet (concurrence 1 for
-    all times with E != 0); either qubit starting in the ground state gives
-    concurrence identically zero."""
-    c1c2 = math.cos(q1.theta / 2) * math.cos(q2.theta / 2)
-    if c1c2 < 1e-12:
-        return InitialStateClass.ALWAYS_ZERO
-    y_sq = 0.5 * (
-        1
-        - math.cos(q1.theta) * math.cos(q2.theta)
-        - math.sin(q1.theta) * math.sin(q2.theta) * math.cos(q1.phi - q2.phi)
-    )
-    if y_sq < 1e-12:
-        return InitialStateClass.MAXIMALLY_ENTANGLED
-    return InitialStateClass.GENERIC

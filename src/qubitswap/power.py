@@ -2,8 +2,8 @@
 initial states under the Haar measure.
 
 It depends on the dynamics only through p = |E|^2.  After the elementary
-azimuthal integrals (reduced_integrand), with x = cos^2(theta1/2) and
-y = cos^2(theta2/2) both uniform on [0, 1],
+azimuthal integrals (reduced_integrand in tests/test_power.py), with
+x = cos^2(theta1/2) and y = cos^2(theta2/2) both uniform on [0, 1],
 
     P(p) = 2p int_0^1 x I(x) dx,   I(x) = int_0^1 y dy / sqrt(Q(y)),
     Q = a y^2 + b y + c,   a = (1 - 2x + 2px)^2 + 4x(1 - x),
@@ -33,20 +33,23 @@ from numpy.polynomial.legendre import leggauss
 from .errors import NotConverged, RangeError
 
 _BLOCK = 128  # p values per pass: (p, node) temporaries hold 128 x 2n floats
+# leggauss(n) takes O(n^2) memory and O(n^3) time, and the rule reaches
+# rounding by 24 nodes
+MAX_QUAD_NODES = 512
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Node count of the coarse Gauss-Legendre rule on the one remaining
-    axis (the fine rule has twice as many), and the largest accepted
-    relative difference between the two rules' values."""
+    axis, at most MAX_QUAD_NODES (the fine rule has twice as many), and the
+    largest accepted relative difference between the two rules' values."""
 
     nodes_per_axis: int = 64
     rel_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.nodes_per_axis < 16:
-            raise RangeError("nodes_per_axis must be >= 16")
+        if not 16 <= self.nodes_per_axis <= MAX_QUAD_NODES:
+            raise RangeError(f"nodes_per_axis must lie in [16, {MAX_QUAD_NODES}]")
         if not self.rel_tolerance >= 1e-10:  # also rejects NaN
             raise RangeError("rel_tolerance must be >= 1e-10")
 
@@ -68,30 +71,6 @@ def _checked_p(p) -> np.ndarray:
     if not np.all((p >= 0) & (p <= 1)):  # also rejects NaN
         raise RangeError("p must lie in [0, 1]")
     return p
-
-
-def reduced_integrand(theta1: float, theta2: float, p: float):
-    """Azimuth-averaged concurrence at fixed polar angles.
-
-    With A = 2 p c1^2 c2^2, B = A + s1^2 c2^2 + c1^2 s2^2, C = 2 s1 c1 s2 c2,
-    the phi average of A / (B - C cos phi) is A / sqrt(B^2 - C^2).  The
-    B -> C ridge (theta1 = theta2, vanishing |Y| coefficient) gets its
-    pointwise limit: 1 where A > 0, else 0.  Vectorized over the angles.
-    """
-    p = _checked_p(p)
-    t1 = np.asarray(theta1, dtype=float)
-    t2 = np.asarray(theta2, dtype=float)
-    c1, c2 = np.cos(t1 / 2), np.cos(t2 / 2)
-    a = 2 * p * c1**2 * c2**2
-    # cancellation-free: B -+ C = A + sin^2((theta1 -+ theta2)/2)
-    b_minus_c = a + np.sin((t1 - t2) / 2) ** 2
-    b_plus_c = a + np.sin((t1 + t2) / 2) ** 2
-    regular = b_minus_c > 1e-14
-    disc = np.where(regular, b_minus_c * b_plus_c, 1.0)
-    out = np.where(regular, a / np.sqrt(disc), np.where(a > 0, 1.0, 0.0))
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 @lru_cache(maxsize=16)

@@ -4,7 +4,9 @@ and one-command presets for the published parameter sets."""
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -245,21 +247,32 @@ def run_scan(config: ScenarioConfig) -> TimeSeries:
     return TimeSeries(columns=cols, taus=taus, values=vals)
 
 
+def _csv_chunks(series: TimeSeries) -> Iterator[bytes]:
+    """The CSV as ASCII blocks: the header line, then one line per tau with
+    every value as ``{:.17g}``, formatted by ``format_g17`` about
+    ``_CSV_CHUNK`` values at a time."""
+    yield (",".join(series.columns) + "\n").encode()
+    rows = max(1, _CSV_CHUNK // len(series.columns))
+    for i in range(0, len(series.taus), rows):
+        yield format_g17(np.column_stack([series.taus[i:i + rows], series.values[i:i + rows]]))
+
+
 def format_csv(series: TimeSeries) -> str:
-    """Header line, then one line per tau with every value as ``{:.17g}``,
-    formatted by ``format_g17`` about ``_CSV_CHUNK`` values at a time."""
-    block = np.column_stack([series.taus, series.values])
-    rows = max(1, _CSV_CHUNK // block.shape[1])
-    lines = (format_g17(block[i:i + rows]).decode("ascii") for i in range(0, len(block), rows))
-    return "".join([",".join(series.columns) + "\n", *lines])
+    """The whole CSV as one string, the bytes emit_csv writes."""
+    return "".join(chunk.decode() for chunk in _csv_chunks(series))
 
 
 def emit_csv(series: TimeSeries, path) -> None:
-    """Write the series as UTF-8 CSV with LF endings and 17 significant
-    digits; byte-identical across runs for identical configs and seeds."""
-    text = format_csv(series)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write the series as CSV with LF endings and 17 significant digits to
+    path, or to stdout if path is ``"-"``; byte-identical across runs for
+    identical configs and seeds.  Each block is written as soon as it is
+    formatted, so memory holds one block of text, never the whole CSV."""
+    if path == "-":
+        for chunk in _csv_chunks(series):
+            sys.stdout.write(chunk.decode())
+        return
+    with open(path, "wb") as fh:
+        fh.writelines(_csv_chunks(series))
 
 
 # The published parameter sets: weak and strong coupling, Omega = 1.5e9.

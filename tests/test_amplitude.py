@@ -209,6 +209,19 @@ class TestAmplitudeModel:
             assert mags.max() <= 1 + 1e-9
 
 
+    @pytest.mark.parametrize("n", [0, 1, 1000, 16383, 16384, 100001])
+    def test_in_place_sum_equals_expression(self, n):
+        # the expression amplitude() evaluated before its sum went in place;
+        # numpy reorders its complex product from 16384 points on.  n = 0 is
+        # a scalar tau.
+        model = build_amplitude_model(ModelParams(R=5.93, beta=1.13e-8, Omega=1.5e9))
+        taus = np.asarray(np.linspace(0, 50, n) if n else 50.0)
+        ref = np.zeros(taus.shape, dtype=complex)
+        for a, q in zip(model.weights, model.roots):
+            ref += a * np.exp(q * taus)
+        got = np.atleast_1d(amplitude(model, taus if n else 50.0))
+        assert np.array_equal(got.view(np.float64), np.atleast_1d(ref).view(np.float64))
+
 class TestClosedFormBeta0:
     def test_initial_value(self):
         assert closed_form_beta0(0.3, 0.0) == 1.0

@@ -1,3 +1,4 @@
+import enum
 import math
 
 import numpy as np
@@ -7,9 +8,7 @@ from qubitswap.errors import NonPhysicalInput, RangeError, ZeroNorm
 from qubitswap.measures import (
     BlochAngles,
     DensityMatrix4,
-    InitialStateClass,
     average_linear_entropy,
-    classify_initial_state,
     concurrence_closed,
     concurrence_wootters,
     density_matrix,
@@ -17,6 +16,30 @@ from qubitswap.measures import (
     linear_entropy,
     post_bsm_projection,
 )
+
+
+class InitialStateClass(enum.Enum):
+    MAXIMALLY_ENTANGLED = "maximally-entangled"
+    ALWAYS_ZERO = "always-zero"
+    GENERIC = "generic"
+
+
+def classify_initial_state(q1: BlochAngles, q2: BlochAngles) -> InitialStateClass:
+    """Sort an initial angle pair into the analytic regimes of the swapped
+    concurrence: |Y| = 0 gives a time-independent singlet (concurrence 1 for
+    all times with E != 0); either qubit starting in the ground state gives
+    concurrence identically zero."""
+    c1c2 = math.cos(q1.theta / 2) * math.cos(q2.theta / 2)
+    if c1c2 < 1e-12:
+        return InitialStateClass.ALWAYS_ZERO
+    y_sq = 0.5 * (
+        1
+        - math.cos(q1.theta) * math.cos(q2.theta)
+        - math.sin(q1.theta) * math.sin(q2.theta) * math.cos(q1.phi - q2.phi)
+    )
+    if y_sq < 1e-12:
+        return InitialStateClass.MAXIMALLY_ENTANGLED
+    return InitialStateClass.GENERIC
 
 
 def random_amplitude(rng):
@@ -288,6 +311,16 @@ class TestArrayMeasures:
         )
         assert got.shape == (self.N, 4)
         np.testing.assert_array_max_ulp(got, ref, maxulp=self.MAX_ULP)
+
+    @pytest.mark.parametrize("n", [1000, 100_001])
+    def test_density_populations_equal_stacked_expression(self, angles, n):
+        # the expression density_populations evaluated before it went in place
+        s = post_bsm_projection(*angles, random_batch(np.random.default_rng(n), n))
+        root_n = np.sqrt(s.N)
+        x, y = s.X / root_n, s.Y / root_n
+        pop_x = (x * x.conj()).real
+        ref = np.stack([np.zeros_like(pop_x), pop_x, pop_x, (y * np.conj(y)).real], axis=-1)
+        assert np.array_equal(density_populations(s), ref)
 
     def test_scalar_in_scalar_out(self, angles):
         assert type(linear_entropy(0.3, 0.6)) is float

@@ -12,11 +12,11 @@ from qubitswap.measures import BlochAngles, concurrence_closed, post_bsm_project
 from qubitswap.power import (
     MonteCarloSpec,
     QuadratureSpec,
+    _checked_p,
     entangling_power_grid,
     entangling_power_mc,
     entangling_power_mc_grid,
     entangling_power_quadrature,
-    reduced_integrand,
 )
 from qubitswap.scenario import ScenarioConfig, run_scan
 
@@ -24,6 +24,30 @@ from qubitswap.scenario import ScenarioConfig, run_scan
 # over the full 4-angle product-state measure (seed 12345).
 POWER_AT_UNIT_P = 0.4456144
 POWER_AT_UNIT_P_STDERR = 8.85e-5
+
+
+def reduced_integrand(theta1: float, theta2: float, p: float):
+    """Azimuth-averaged concurrence at fixed polar angles.
+
+    With A = 2 p c1^2 c2^2, B = A + s1^2 c2^2 + c1^2 s2^2, C = 2 s1 c1 s2 c2,
+    the phi average of A / (B - C cos phi) is A / sqrt(B^2 - C^2).  The
+    B -> C ridge (theta1 = theta2, vanishing |Y| coefficient) gets its
+    pointwise limit: 1 where A > 0, else 0.  Vectorized over the angles.
+    """
+    p = _checked_p(p)
+    t1 = np.asarray(theta1, dtype=float)
+    t2 = np.asarray(theta2, dtype=float)
+    c1, c2 = np.cos(t1 / 2), np.cos(t2 / 2)
+    a = 2 * p * c1**2 * c2**2
+    # cancellation-free: B -+ C = A + sin^2((theta1 -+ theta2)/2)
+    b_minus_c = a + np.sin((t1 - t2) / 2) ** 2
+    b_plus_c = a + np.sin((t1 + t2) / 2) ** 2
+    regular = b_minus_c > 1e-14
+    disc = np.where(regular, b_minus_c * b_plus_c, 1.0)
+    out = np.where(regular, a / np.sqrt(disc), np.where(a > 0, 1.0, 0.0))
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def ridge_quadrature(p: float, n: int = 256) -> float:
@@ -118,6 +142,9 @@ class TestSpecs:
     def test_quadrature_bounds(self):
         with pytest.raises(RangeError):
             QuadratureSpec(nodes_per_axis=8)
+        with pytest.raises(RangeError):
+            QuadratureSpec(nodes_per_axis=power.MAX_QUAD_NODES + 1)
+        assert QuadratureSpec(nodes_per_axis=power.MAX_QUAD_NODES).nodes_per_axis == 512
         with pytest.raises(RangeError):
             QuadratureSpec(rel_tolerance=1e-12)
         with pytest.raises(RangeError):

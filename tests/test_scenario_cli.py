@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubitswap import cli, scenario, validate
+from qubitswap import cli, power, scenario, validate
 from qubitswap.amplitude import amplitude_ode_oracle
 from qubitswap.cli import main
 from qubitswap.errors import ParseError, QubitSwapError, RangeError, UnknownFigure
@@ -119,7 +120,7 @@ BOX = {
     "theta2": (0.0, math.pi), "phi2": (-1e300, 1e300),
     "tau-min": (0.0, 1e300), "tau-max": (0.0, 1e300), "tau-steps": (2, 10**9),
     "mc-samples": (1, 10**9), "seed": (0, 2**64 - 1),
-    "quad-nodes": (16, 10**6), "quad-tol": (1e-10, 1e300),
+    "quad-nodes": (16, 512), "quad-tol": (1e-10, 1e300),
 }
 ANGLE_KEYS = ("theta1", "phi1", "theta2", "phi2")
 
@@ -353,6 +354,62 @@ class TestFormatCsv:
         assert_formats_like_reference(series)
 
 
+class TestStreamedCsv:
+    """emit_csv writes the CSV block by block; the bytes must not depend on
+    where the blocks end, and memory must not grow with the text."""
+
+    SLOW = [2.0**-25, 43 * 2.0**-22, math.inf, -math.inf, math.nan, 1e300, -0.0]
+
+    def edge_series(self):
+        """More than two chunks and a partial last one, with values that take
+        the formatter's per-value path on the first and last row of each."""
+        width = 4
+        rows = scenario._CSV_CHUNK // (width + 1)
+        n = 3 * rows + rows // 2
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((n, width)) * 10 ** rng.uniform(-20, 20, (n, width))
+        edges = sorted({0, n - 1} | {k * rows + d for k in range(1, 4) for d in (-1, 0)})
+        slow = iter(self.SLOW * len(edges))
+        for i in edges:
+            values[i] = [next(slow) for _ in range(width)]
+        return series_of(values.ravel(), width)
+
+    def test_file_and_stdout_bytes_at_chunk_edges(self, tmp_path, capsysbinary, monkeypatch):
+        series = self.edge_series()
+        want = reference_format_csv(series).encode()
+        path = tmp_path / "edges.csv"
+        emit_csv(series, path)
+        assert path.read_bytes() == want
+        monkeypatch.setattr(cli, "run_scan", lambda config: series)
+        assert main(["scan", "--R", "0.1", "--omega-ratio", "1.5e9",
+                     "--observable", "amplitude", "--out", "-"]) == 0
+        assert capsysbinary.readouterr().out == want
+
+    def test_one_row_series(self, tmp_path):
+        series = run_scan(figure_preset("fig6")[1])
+        path = tmp_path / "fig6.csv"
+        emit_csv(series, path)
+        assert path.read_bytes() == reference_format_csv(series).encode()
+
+    def test_peak_memory_is_a_few_chunks(self, tmp_path):
+        # About 16 MB of CSV.  Formatting one chunk takes about 4 MB of
+        # temporaries; holding the whole text at once takes 2.4 times its size.
+        n = 200_000
+        rng = np.random.default_rng(3)
+        series = TimeSeries(("tau", "a", "b", "c"), np.linspace(0.0, 50.0, n),
+                            rng.uniform(-1.0, 1.0, (n, 3)))
+        emit_csv(series_of([1.0], 1), tmp_path / "warm.csv")  # format17's tables
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            emit_csv(series, tmp_path / "big.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.csv").stat().st_size > 15e6
+        assert peak < 9e6
+
+
 class TestFigurePresets:
     def test_known_ids(self):
         for fig_id in FIGURE_IDS:
@@ -537,6 +594,15 @@ class TestCliInputErrors:
                 "--tau-min", "1", "--tau-max", tau_max, "--tau-steps", steps]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: tau values must be strictly increasing\n"
+
+    def test_quad_nodes_cap_fails_before_any_nodes(self, capsys, monkeypatch):
+        def no_nodes(n):
+            raise AssertionError("no quadrature nodes may be built")
+
+        monkeypatch.setattr(power, "_nodes", no_nodes)
+        argv = self.with_flag(self.BASE, "--observable", "power") + ["--quad-nodes", "100000"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: nodes_per_axis must lie in [16, 512]\n"
 
     def test_non_finite_amplitude_is_numeric_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(scenario, "amplitude", lambda model, t: np.full(len(t), np.nan + 0j))
