@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import re
 import sys
 from pathlib import Path
@@ -16,6 +18,29 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed memory in this process instead of returning it.
+
+    glibc's dynamic thresholds follow the largest mmapped chunk freed so far:
+    at 1e5 points that is about 1.6 MB, so heap tops above about 3.2 MB go
+    back to the kernel after each CSV block and the next block faults them in
+    again, zero-filled.  Fixed thresholds (mmap at 32 MiB, glibc's largest,
+    trim at 64 MiB) keep them.  Both must be set: a trim threshold alone
+    switches off the dynamic mmap threshold and mmaps every array of 128 KiB
+    and up.  A C library without mallopt leaves the allocator as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    except (OSError, AttributeError, TypeError):
+        pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,6 +84,7 @@ def _cmd_figure(args) -> int:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,9 +23,10 @@ _WORD = np.dtype("<u8")
 
 def _split(a):
     """Veltkamp split, a == hi + lo exactly with 26-bit halves."""
-    c = a * 134217729.0  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
+    hi = a * 134217729.0  # 2^27 + 1
+    lo = hi - a
+    hi -= lo
+    return hi, np.subtract(a, hi, out=lo)
 
 
 @functools.cache
@@ -67,49 +68,93 @@ def _scaled(a, e, pow10):
     hi, hi_hi, hi_lo, lo = (t.take(16 - e - _S_MIN) for t in pow10)
     p = a * hi
     a_hi, a_lo = _split(a)
-    err = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
-    whole = np.floor(p)
-    rest = (p - whole) + (err + a * lo)
-    carry = np.floor(rest)
-    return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
+    # err = ((a_hi·hi_hi − p) + a_hi·hi_lo + a_lo·hi_hi) + a_lo·hi_lo, each
+    # product written over an operand that is not needed again
+    err = np.multiply(a_hi, hi_hi, out=hi)
+    err -= p
+    err += np.multiply(a_hi, hi_lo, out=a_hi)
+    err += np.multiply(a_lo, hi_hi, out=hi_hi)
+    err += np.multiply(a_lo, hi_lo, out=hi_lo)
+    err += np.multiply(a, lo, out=lo)
+    whole = np.floor(p, out=a_lo)
+    rest = np.subtract(p, whole, out=p)
+    rest += err
+    carry = np.floor(rest, out=err)
+    rest -= carry
+    q = whole.astype(np.int64)
+    q += carry.astype(np.int64)
+    return q, rest
 
 
 def format_g17(block: np.ndarray) -> bytes:
     """Each row of a 2-D block as one line: ``"%.17g" % v`` for each value,
-    separated by commas, ended by a newline."""
+    separated by commas, ended by a newline.
+
+    Each block-sized temporary is written over or dropped once used, so the
+    peak is the end: the six words a value, their copy and its translation."""
     pow10, group, zeros, lead, suffix, int_last, keep = _tables()
     v = np.ascontiguousarray(block, dtype=np.float64).ravel()
     a = np.abs(v)
     fast = (a >= 1 / _LIMIT) & (a <= _LIMIT)
-    a = np.where(fast, a, 1.0)
+    other = ~fast  # zeros, non-finite values and magnitudes out of range
+    slow = other & (v != 0)
+    np.copyto(a, 1.0, where=other)
     e = np.floor(np.log10(a)).astype(np.int64)
     q, frac = _scaled(a, e, pow10)
     off = np.flatnonzero((q < 10**16) | (q >= 10**17))  # log10 rounded across 10^e
     if off.size:
         e[off] += np.where(q[off] < 10**16, -1, 1)
         q[off], frac[off] = _scaled(a[off], e[off], pow10)
+    del a
     q += frac > 0.5
+    frac -= 0.5
+    slow |= fast & (np.abs(frac, out=frac) < 1e-6)
+    slow = np.flatnonzero(slow)
+    del frac
     top = q == 10**17
-    q = np.where(fast, np.where(top, 10**16, q), 0)  # a zero is N = 0, e = 0
-    e = np.where(fast, e + top, 0) + _E_OFF
-    slow = np.flatnonzero(~fast & (v != 0) | fast & (np.abs(frac - 0.5) < 1e-6))
+    e += top
+    np.copyto(q, 10**16, where=top)
+    del top
+    np.copyto(q, 0, where=other)  # a zero is N = 0, e = 0
+    np.copyto(e, 0, where=other)
+    del fast, other
+    e += _E_OFF
 
     # N = first·10^16 followed by four 4-digit groups
-    upper, first = q // 10**8, q // 10**16
-    lower, upper = q - upper * 10**8, upper - first * 10**8
-    g0, g2 = upper // 10**4, lower // 10**4
-    g = (g0, upper - g0 * 10**4, g2, lower - g2 * 10**4)
-    z = [zeros.take(gj) for gj in g]
+    first = q // 10**16
+    q -= first * 10**16
+    g = np.empty((4, q.size), np.int64)
+    np.floor_divide(q, 10**8, out=g[1])
+    q -= g[1] * 10**8
+    np.floor_divide(g[1], 10**4, out=g[0])
+    g[1] -= g[0] * 10**4
+    np.floor_divide(q, 10**4, out=g[2])
+    np.subtract(q, g[2] * 10**4, out=g[3])
+    del q
+    z = zeros.take(g)
     tail = z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0]))
-    k = int_last.take(e) * 17 + (16 - tail)
+    del z
+    k = int_last.take(e)
+    k *= 17
+    k += 16 - tail
+    del tail
 
     words = np.empty((*block.shape, 6), _WORD)
     flat = words.reshape(-1, 6)
-    flat[:, 0] = (lead.take(e) | (first.astype(_WORD) + 48) << 48
-                  | np.signbit(v).astype(_WORD) * ord("-")) & keep[0].take(k)
-    for j, gj in enumerate(g):
-        flat[:, j + 1] = group.take(gj) & keep[j + 1].take(k)
-    flat[:, 5] = suffix.take(e)
+    col = lead.take(e)
+    col |= (first.astype(_WORD) + 48) << 48
+    del first
+    col |= np.signbit(v).astype(_WORD) * ord("-")
+    col &= keep[0].take(k)
+    flat[:, 0] = col
+    for j in range(4):
+        group.take(g[j], out=col)
+        col &= keep[j + 1].take(k)
+        flat[:, j + 1] = col
+    del g, k
+    suffix.take(e, out=col)
+    flat[:, 5] = col
+    del col, e
     words[:, :-1, 5] |= ord(",") << 40
     words[:, -1, 5] |= ord("\n") << 40
     for i in slow:

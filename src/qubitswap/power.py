@@ -144,8 +144,11 @@ def entangling_power_mc_grid(p, spec: MonteCarloSpec) -> tuple[np.ndarray, np.nd
     A = 0 (concurrence 0) and r = 0 on the ridge |Y| = 0 (concurrence 1).
     Each p then costs one add and one divide per sample.  The mean is
     numpy's pairwise sum over n; the standard error takes the sum of squares
-    from einsum, never BLAS, so neither depends on thread counts.  Exactly
-    (0.0, 0.0) where p = 0."""
+    from einsum, never BLAS, so neither depends on thread counts.  Both sum
+    the concurrences times 2^k, with k putting the largest, p / (p + min r),
+    in [1/2, 1), and scale back exactly: squares of concurrences of order p
+    underflow below p of about 1e-160, and the scaled ones do not overflow
+    even on the ridge.  Exactly (0.0, 0.0) where p = 0."""
     p = _checked_p(p)
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
@@ -161,16 +164,18 @@ def entangling_power_mc_grid(p, spec: MonteCarloSpec) -> tuple[np.ndarray, np.nd
 
     means, stderrs = np.zeros(p.shape), np.zeros(p.shape)
     conc = np.empty(n)
+    r_min = float(r.min())
     for i, pi in enumerate(p.flat):
         if pi == 0:  # 0/(0 + 0) on the ridge
             continue
+        k = -math.frexp(pi / (pi + r_min))[1]
         np.add(r, pi, out=conc)
-        np.divide(pi, conc, out=conc)
+        np.divide(math.ldexp(pi, k), conc, out=conc)
         total = float(conc.sum())
-        means.flat[i] = total / n
+        means.flat[i] = math.ldexp(total, -k) / n
         if n > 1:  # rounding can take the one-pass sum of squares below 0
             sq_dev = max(float(np.einsum("i,i->", conc, conc)) - total * (total / n), 0.0)
-            stderrs.flat[i] = math.sqrt(sq_dev / (n - 1)) / math.sqrt(n)
+            stderrs.flat[i] = math.ldexp(math.sqrt(sq_dev / (n - 1)), -k) / math.sqrt(n)
     return means, stderrs
 
 

@@ -91,17 +91,25 @@ def mc_reference(p: float, spec: MonteCarloSpec) -> tuple[float, float]:
     t1, t2 = np.arccos(ct1), np.arccos(ct2)
     c1, s1 = np.cos(t1 / 2), np.sin(t1 / 2)
     c2, s2 = np.cos(t2 / 2), np.sin(t2 / 2)
-    x_sq = p * (c1 * c2) ** 2
+    a = (c1 * c2) ** 2
     y_sq = np.abs(s1 * c2 * np.exp(1j * ph1) - s2 * c1 * np.exp(1j * ph2)) ** 2
-    denom = 2 * x_sq + y_sq
-    conc = np.where(denom > 0, 2 * x_sq / np.maximum(denom, 1e-300), 0.0)
+    denom = 2 * p * a + y_sq
+
+    def concurrences(scale):
+        return np.divide(2 * scale * a, denom, out=np.zeros(n), where=denom > 0)
+
+    # the package's scale-safe form: 2^k times the concurrences, the largest
+    # in [1/2, 1), so that squares of concurrences of order p do not underflow
+    k = -math.frexp(float(concurrences(p).max()))[1]
+    conc = concurrences(math.ldexp(p, k))
     stderr = float(conc.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(conc.mean()), stderr
+    return math.ldexp(float(conc.mean()), -k), math.ldexp(stderr, -k)
 
 
 def mc_half_angle_reference(p: float, spec: MonteCarloSpec) -> tuple[float, float]:
     """Per-p loop of the package's half-angle arithmetic, drawing its own
-    samples: the concurrence is p / (p + r), r = |Y|^2 / (2 (c1 c2)^2)."""
+    samples: the concurrence is p / (p + r), r = |Y|^2 / (2 (c1 c2)^2),
+    summed scaled by the package's power of two."""
     if p == 0:
         return 0.0, 0.0
     rng = np.random.default_rng(spec.seed)
@@ -117,12 +125,13 @@ def mc_half_angle_reference(p: float, spec: MonteCarloSpec) -> tuple[float, floa
     two_c1c2_sq = 2 * (c1 * c2) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(two_c1c2_sq > 0, y_sq / two_c1c2_sq, math.inf)
-    conc = p / (p + r)
+    k = -math.frexp(float(np.max(p / (p + r))))[1]  # largest of 2^k·conc in [1/2, 1)
+    conc = math.ldexp(p, k) / (p + r)
     total = float(np.sum(conc))
     if n == 1:
-        return total, 0.0
+        return math.ldexp(total, -k), 0.0
     sq_dev = max(float(np.einsum("i,i->", conc, conc)) - total * (total / n), 0.0)
-    return total / n, math.sqrt(sq_dev / (n - 1)) / math.sqrt(n)
+    return math.ldexp(total, -k) / n, math.ldexp(math.sqrt(sq_dev / (n - 1)), -k) / math.sqrt(n)
 
 
 class FixedDraws:
@@ -297,6 +306,19 @@ class TestMonteCarlo:
             ref_mean, ref_stderr = mc_reference(p, spec)
             assert abs(mean - ref_mean) <= 1e-12 * ref_mean
             assert abs(stderr - ref_stderr) <= 1e-9 * ref_stderr
+
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_stderr_scales_with_tiny_p(self, seed):
+        # the concurrence is p / (p + r) -> p / r, so stderr / p settles as
+        # p -> 0; unscaled squares of the concurrences underflowed to a
+        # standard error of exactly 0 below p of about 1e-165
+        spec = MonteCarloSpec(n_samples=100_000, seed=seed)
+        ps = np.array([1e-100, 1e-200, 1e-300])
+        means, stderrs = entangling_power_mc_grid(ps, spec)
+        ratios = stderrs / ps
+        assert ratios[0] > 0.1
+        assert ratios[1:] == pytest.approx(ratios[0], rel=1e-12, abs=0)
+        assert means / ps == pytest.approx(means[0] / ps[0], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("u1,u2,ph1,ph2,ridge", [
         # A = 0 (u = -1 on either side, or both), then the ridge |Y| = 0

@@ -1,12 +1,18 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubitswap import cli, power, scenario, validate
+from qubitswap import cli, format17, power, scenario, validate
 from qubitswap.amplitude import amplitude_ode_oracle
 from qubitswap.cli import main
 from qubitswap.errors import ParseError, QubitSwapError, RangeError, UnknownFigure
@@ -409,6 +415,25 @@ class TestStreamedCsv:
         assert (tmp_path / "big.csv").stat().st_size > 15e6
         assert peak < 9e6
 
+    def test_one_block_peak_memory(self):
+        # A full block of _CSV_CHUNK values peaked at 4.05 MB while about 30
+        # block-sized temporaries lived until the end; now the peak is the
+        # final copies of the six words a value (3 x 0.79 MB).
+        rows = scenario._CSV_CHUNK // 4
+        rng = np.random.default_rng(3)
+        block = np.column_stack([np.linspace(0.0, 50.0, rows), rng.uniform(-1.0, 1.0, (rows, 3))])
+        want = format17.format_g17(block)  # also builds format17's tables
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            text = format17.format_g17(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == want == "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                       for row in block).encode()
+        assert peak <= 2.5e6
+
 
 class TestFigurePresets:
     def test_known_ids(self):
@@ -666,3 +691,76 @@ class TestDeterminism:
             assert main(flags + ["--out", str(path)]) == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+# One pass over the five grid observables at 1e5 points, in a fresh
+# interpreter; prints the minor page faults the pass took.
+FAULT_PASS = """
+import resource, sys
+from qubitswap.cli import main
+args = ["scan", "--R", "10", "--beta", "1e-8", "--omega-ratio", "1.5e9",
+        "--theta1", "1.5707963267948966", "--theta2", "0.78539816339744828",
+        "--tau-max", "50", "--tau-steps", "100001"]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for obs in ("amplitude", "entropy", "entropy-avg", "concurrence", "density"):
+    assert main(args + ["--observable", obs, "--out", obs + ".csv"]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestAllocatorPolicy:
+    """cli.main fixes glibc's heap thresholds once per process, so freed CSV
+    blocks stay in the process; without mallopt it changes nothing."""
+
+    ARGS = ["scan", "--R", "10", "--beta", "1e-8", "--omega-ratio", "1.5e9",
+            "--observable", "density", "--theta1", "1.5707963267948966",
+            "--theta2", "0.78539816339744828", "--tau-steps", "1001"]
+
+    @pytest.fixture(autouse=True)
+    def fresh_policy(self):
+        cli._keep_freed_memory.cache_clear()
+        yield
+        cli._keep_freed_memory.cache_clear()
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        assert main(["figure", "fig99"]) == 1
+        assert main(["figure", "fig99"]) == 1
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.parametrize("error", [OSError, TypeError, None])
+    def test_no_mallopt_changes_nothing(self, tmp_path, monkeypatch, error):
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        assert main(self.ARGS + ["--out", str(want)]) == 0
+        cli._keep_freed_memory.cache_clear()
+        names = []
+
+        def patched(name):
+            names.append(name)
+            if error is not None:
+                raise error("no C library")
+            return object()  # a C library without mallopt
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", patched)
+        assert main(self.ARGS + ["--out", str(got)]) == 0
+        assert names == [None]
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="glibc's mallopt and Linux fault counts")
+    def test_scan_pass_page_faults(self, tmp_path):
+        # About 30 000 minor faults with glibc's dynamic thresholds, which
+        # hand each freed block back to the kernel; about 3 000 with them fixed.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", FAULT_PASS], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 6_000
