@@ -43,8 +43,15 @@ def _keep_freed_memory() -> None:
         pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """One line, like every other usage error, instead of the usage text
+        and the message."""
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qubitswap",
         description="Dissipative moving-qubit dynamics and entanglement swapping",
     )

@@ -30,10 +30,6 @@ class NonFiniteResult(QubitSwapError):
     """A numeric route overflowed: its result holds inf or NaN."""
 
 
-class NotConverged(QubitSwapError):
-    """Node-doubling refinement did not reach the requested tolerance."""
-
-
 class UnknownFigure(QubitSwapError):
     """Requested figure preset id does not exist."""
 

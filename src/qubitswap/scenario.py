@@ -29,7 +29,7 @@ from .measures import (
     linear_entropy,
     post_bsm_projection,
 )
-from .power import MonteCarloSpec, QuadratureSpec, entangling_power_grid, entangling_power_mc_grid
+from .power import MonteCarloSpec, entangling_power_grid, entangling_power_mc_grid
 from .power import entangling_power_mc, entangling_power_quadrature  # noqa: F401 (re-exported)
 
 OBSERVABLES = ("amplitude", "entropy", "entropy-avg", "concurrence", "power", "density")
@@ -47,7 +47,6 @@ class ScenarioConfig:
     method: str = "analytic"
     power_method: str = "quad"
     mc: MonteCarloSpec = field(default_factory=MonteCarloSpec)
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     out: str = "-"
 
     def __post_init__(self):
@@ -88,7 +87,7 @@ class TimeSeries:
 class Option:
     """One scan option: ``--key`` on the command line, ``key = value`` in a
     config file.  It sets ``field`` of one part of a ScenarioConfig: the
-    config itself, params, grid, q1 or q2 (the two angles), mc or quad."""
+    config itself, params, grid, q1 or q2 (the two angles) or mc."""
 
     key: str
     type: type
@@ -117,9 +116,6 @@ OPTIONS = {opt.key: opt for opt in (
            POWER_METHODS),
     Option("mc-samples", int, "mc", "n_samples", "Monte Carlo sample count"),
     Option("seed", int, "mc", "seed", "Monte Carlo seed"),
-    Option("quad-nodes", int, "quad", "nodes_per_axis", "node count of the coarse quadrature rule"),
-    Option("quad-tol", float, "quad", "rel_tolerance",
-           "largest relative difference accepted between the coarse and fine rules"),
     Option("out", str, "config", "out", "output CSV path, '-' for stdout"),
 )}
 
@@ -176,7 +172,6 @@ def parse_config(options: dict, file_text: str | None = None) -> ScenarioConfig:
         grid=grid,
         angles=angles,
         mc=MonteCarloSpec(**fields["mc"]),
-        quad=QuadratureSpec(**fields["quad"]),
         **fields["config"],
     )
 
@@ -188,7 +183,7 @@ def config_text(config: ScenarioConfig) -> str:
     """
     q1, q2 = config.angles or (None, None)
     parts = {"config": config, "params": config.params, "grid": config.grid,
-             "q1": q1, "q2": q2, "mc": config.mc, "quad": config.quad}
+             "q1": q1, "q2": q2, "mc": config.mc}
     lines = []
     for opt in OPTIONS.values():
         if parts[opt.part] is not None:
@@ -240,7 +235,7 @@ def run_scan(config: ScenarioConfig) -> TimeSeries:
         if config.power_method == "mc":
             vals = entangling_power_mc_grid(p_vals, config.mc)[0][:, None]
         else:
-            vals = entangling_power_grid(p_vals, config.quad)[:, None]
+            vals = entangling_power_grid(p_vals)[:, None]
     else:  # pragma: no cover - guarded by config validation
         raise RangeError(f"unknown observable {obs!r}")
 

@@ -26,7 +26,7 @@ from .measures import (
     linear_entropy,
     post_bsm_projection,
 )
-from .power import (MonteCarloSpec, QuadratureSpec, entangling_power_mc_grid,
+from .power import (MonteCarloSpec, entangling_power_grid, entangling_power_mc_grid,
                     entangling_power_quadrature)
 from .power import entangling_power_mc  # noqa: F401 (re-exported)
 from .scenario import STRONG, WEAK
@@ -114,7 +114,7 @@ def check_power_estimators():
     ps = (0.1, 0.5, 1.0)
     spec = MonteCarloSpec(n_samples=200_000, seed=4)
     for p, mean, stderr in zip(ps, *entangling_power_mc_grid(np.array(ps), spec)):
-        quad = entangling_power_quadrature(p, QuadratureSpec())
+        quad = entangling_power_quadrature(p)
         assert abs(quad - mean) <= 3 * stderr, (
             f"estimators disagree at p={p}: quad={quad}, mc={mean}+-{stderr}"
         )
@@ -122,11 +122,9 @@ def check_power_estimators():
 
 
 def check_power_monotone():
-    grid = np.linspace(0.0, 1.0, 21)
-    vals = [entangling_power_quadrature(p, QuadratureSpec()) for p in grid]
+    vals = entangling_power_grid(np.linspace(0.0, 1.0, 21))
     assert vals[0] == 0.0
-    for lo, hi in zip(vals, vals[1:]):
-        assert hi >= lo - 1e-12, f"power not monotone: {vals}"
+    assert np.all(np.diff(vals) > 0), f"power not increasing: {vals.tolist()}"
 
 
 ALL_CHECKS = (

@@ -25,12 +25,7 @@ from qubitswap.measures import (
     density_matrix,
     post_bsm_projection,
 )
-from qubitswap.power import (
-    MonteCarloSpec,
-    QuadratureSpec,
-    entangling_power_mc,
-    entangling_power_quadrature,
-)
+from qubitswap.power import MonteCarloSpec, entangling_power_mc, entangling_power_quadrature
 from qubitswap.scenario import STRONG, WEAK, figure_preset, run_figure, run_scan
 
 OMEGA = 1.5e9
@@ -181,7 +176,7 @@ def test_criterion_7_entangling_power():
     est_ok = True
     details = []
     for p in (0.1, 0.5, 1.0):
-        quad = entangling_power_quadrature(p, QuadratureSpec())
+        quad = entangling_power_quadrature(p)
         mean, stderr = entangling_power_mc(p, MonteCarloSpec(n_samples=1_000_000, seed=7))
         est_ok &= abs(quad - mean) <= 3 * stderr
         details.append(f"p={p}: |{quad:.5f}-{mean:.5f}| vs 3se={3*stderr:.2g}")

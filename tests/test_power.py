@@ -1,17 +1,18 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy import integrate, special
 
 from qubitswap import power
 from qubitswap.amplitude import ModelParams, TimeGrid
-from qubitswap.errors import NotConverged, RangeError
+from qubitswap.errors import RangeError
 from qubitswap.measures import BlochAngles, concurrence_closed, post_bsm_projection
 from qubitswap.power import (
     MonteCarloSpec,
-    QuadratureSpec,
     _checked_p,
     entangling_power_grid,
     entangling_power_mc,
@@ -24,6 +25,33 @@ from qubitswap.scenario import ScenarioConfig, run_scan
 # over the full 4-angle product-state measure (seed 12345).
 POWER_AT_UNIT_P = 0.4456144
 POWER_AT_UNIT_P_STDERR = 8.85e-5
+
+# P at the double nearest each p, to 40 digits: the closed form evaluated
+# with mpmath at 800 digits, which also matches the Bessel form by mpmath
+# quadrature to 25 digits at p = 0.3 and 1e-3.  P(1) = 2G - 2 ln 2.
+REFERENCE = (
+    (1e-300, 4.60166031589546962556401364456238183242e-298),
+    (1e-200, 3.066603587232772332966916883055175238269e-198),
+    (1e-100, 1.531546858570075295545575874264434388701e-98),
+    (1e-40, 6.105128213724569487569044001829390468983e-39),
+    (1e-20, 3.03501475639917550640664251269535222052e-19),
+    (1e-12, 1.806969373471231632609198625895008680819e-11),
+    (1e-06, 8.859364447281005025509961385802832327141e-06),
+    (0.001, 0.004259746436637578739549595556287131866898),
+    (0.01, 0.02756624248496864647038210788949122235883),
+    (0.05, 0.08866879417773253599391304307913739367727),
+    (0.1, 0.1390390928911287139634565088831282414679),
+    (0.2, 0.2091907933065200107186907956811131695062),
+    (0.24999999999999997, 0.2362478958696604222276622578260894938866),
+    (0.25, 0.236247895869660436226076674064667998199),
+    (0.3, 0.2599405263405457881830016318762846469237),
+    (0.4, 0.300075958273994527850965883198754848941),
+    (0.6, 0.3617173603150117320169640741556131422704),
+    (0.75, 0.3977050258051477763494830148948809094638),
+    (0.9, 0.4279223565672317309423422461951424119775),
+    (0.99, 0.4439405375954956486459541412946073496434),
+    (1.0, 0.4456368272345474112747427869484150853973),
+)
 
 
 def reduced_integrand(theta1: float, theta2: float, p: float):
@@ -77,6 +105,109 @@ def ridge_quadrature(p: float, n: int = 256) -> float:
     # against dtheta1 dtheta2 = 2 du dv and the folded v >= 0 half
     integrand = (np.cos(2 * v) - np.cos(2 * uu)) / 2 * f * dv_dy
     return float(np.sum(wu[:, None] * wy * integrand))
+
+
+def rule_1d(p, n: int = 128) -> np.ndarray:
+    """Independent 1-D oracle: an n-node Gauss-Legendre rule on the one
+    integral left after the elementary ones, for an array of p in (0, 1].
+
+    After the azimuthal integrals (reduced_integrand), with
+    x = cos^2(theta1/2) and y = cos^2(theta2/2) both uniform on [0, 1],
+
+        P(p) = 2p int_0^1 x I(x) dx,   I(x) = int_0^1 y dy / sqrt(Q(y)),
+        Q = a y^2 + b y + c,   a = (1 - 2x + 2px)^2 + 4x(1 - x),
+        b = 2x(2px - 1),   c = x^2,   sqrt(Q(1)) = 1 - x + 2px,
+        I = (sqrt(Q(1)) - x)/a - (b/2a) J    (Gradshteyn & Ryzhik 2.261, 2.264),
+        J = [asinh((2a + b)/r) - asinh(b/r)] / sqrt(a),
+
+    r = sqrt(4ac - b^2) = 4x sqrt(x) sqrt(2p(1 - x)), where log p enters
+    through r alone and 2a + b = 2(1 - x) + 4px(2 - 3x + 2px) does not
+    cancel at x -> 1.  The outer integral is Gauss-Legendre in s with x = s^2
+    (x I(x) ~ x^2 ln x at x = 0); it reaches rounding by about 24 nodes.
+    """
+    t, w = leggauss(n)
+    s = (t + 1) / 2
+    x, wx = s * s, w * s
+    one_minus_x = 1 - x
+    p = np.asarray(p, dtype=float)[:, None]
+    u = one_minus_x - x * (1 - 2 * p)  # sqrt(Q(1)) - x
+    a = u * u + 4 * x * one_minus_x
+    b = 2 * x * (2 * p * x - 1)
+    two_a_plus_b = 2 * one_minus_x + 4 * p * x * (2 - 3 * x + 2 * p * x)
+    r = 4 * x * np.sqrt(x) * np.sqrt(2 * p * one_minus_x)
+    j = (np.arcsinh(two_a_plus_b / r) - np.arcsinh(b / r)) / np.sqrt(a)
+    inner = (u - b / 2 * j) / a
+    return 2 * p[:, 0] * np.sum(x * inner * wx, axis=1)
+
+
+def bessel_form(p: float) -> float:
+    """Independent oracle: P = 2p int_0^inf k^3 K1(k)^2 K0(sqrt(2p) k) dk,
+    Parseval's theorem for E[p / (p + r)] over the stereographic images of
+    the two Bloch vectors, whose density has 2-D Fourier transform |k| K1(|k|).
+    Bessel functions from scipy.special, the integral by scipy's QUADPACK."""
+    alpha = math.sqrt(2 * p)
+
+    def integrand(k):
+        return k**3 * special.k1(k) ** 2 * special.k0(alpha * k)
+
+    value, _ = integrate.quad(integrand, 0, math.inf, epsabs=0, epsrel=1e-13, limit=200)
+    return 2 * p * value
+
+
+def clausen_coefficients(n: int) -> list[Fraction]:
+    """a_k = |B_2k| / (2k (2k+1)!), k = 1..n, of
+    Cl2(x) = x (1 - ln x + sum_k a_k x^{2k}); B_m from the recurrence
+    sum_{i<=m} C(m+1, i) B_i = 0."""
+    bernoulli = [Fraction(1)]
+    for m in range(1, 2 * n + 1):
+        bernoulli.append(-sum(math.comb(m + 1, i) * bernoulli[i] for i in range(m)) / (m + 1))
+    return [abs(bernoulli[2 * k]) / (2 * k * math.factorial(2 * k + 1)) for k in range(1, n + 1)]
+
+
+def series_coefficients(n: int) -> tuple[list[Fraction], list[Fraction]]:
+    """r_k and beta_k, k = 1..n, of P(p) = sum_k p^k (r_k + beta_k ln 2p),
+    as exact fractions from truncated power series of the closed form.
+
+    With S = asin(sqrt(p/2)) / sqrt(p/2), the Clausen argument is
+    C = sqrt(2p) S, so ln C = ln(2p)/2 + ln S and C^2 = 2p S^2, and with
+    (2 - p)^{-k} = 2^{-k} (1 - p/2)^{-k} the closed form becomes
+    P = A(p) + B(p) ln(2p) with
+    A = (1 - p)/(2 - p) + (2p - 1) S (1 - p/2)^{-5/2} (1 - ln S + sum_k a_k C^{2k}) / 2,
+    B = -(1 + p)(1 - p/2)^{-2} / 4 - (2p - 1) S (1 - p/2)^{-5/2} / 4,
+    a_k from clausen_coefficients, both power series in p with A(0) = B(0) = 0.
+    """
+
+    def mul(f, g):
+        out = [Fraction(0)] * (n + 1)
+        for i, fi in enumerate(f):
+            for j in range(n + 1 - i):
+                out[i + j] += fi * g[j]
+        return out
+
+    def poly(*coeffs):
+        return [Fraction(c) for c in coeffs] + [Fraction(0)] * (n + 1 - len(coeffs))
+
+    half = [Fraction(1, 2**k) for k in range(n + 1)]
+    s = [Fraction(math.comb(2 * k, k), 4**k * (2 * k + 1)) * half[k] for k in range(n + 1)]
+    inv_s = poly(1)  # 1/S, for (ln S)' = S'/S
+    for k in range(1, n + 1):
+        inv_s[k] = -sum(s[i] * inv_s[k - i] for i in range(1, k + 1))
+    d_ln_s = mul([(k + 1) * s[k + 1] for k in range(n)] + [Fraction(0)], inv_s)
+    ln_s = [Fraction(0)] + [d_ln_s[k - 1] / k for k in range(1, n + 1)]
+    clausen = [c - l for c, l in zip(poly(1), ln_s)]  # 1 - ln S + sum_k a_k C^{2k}
+    c_sq, power_k = mul(poly(0, 2), mul(s, s)), poly(1)
+    for a_k in clausen_coefficients(n):
+        power_k = mul(power_k, c_sq)
+        clausen = [c + a_k * q for c, q in zip(clausen, power_k)]
+    g52 = [Fraction(1)]  # (1 - p/2)^{-5/2}
+    for k in range(1, n + 1):
+        g52.append(g52[-1] * (Fraction(3, 2) + k) / (2 * k))
+    g2 = [(k + 1) * half[k] for k in range(n + 1)]  # (1 - p/2)^{-2}
+    shared = mul(mul(poly(-1, 2), s), g52)
+    a = [f / 2 + t / 2 for f, t in zip(mul(poly(1, -1), half), mul(shared, clausen))]
+    b = [-f / 4 - t / 4 for f, t in zip(mul(poly(1, 1), g2), shared)]
+    assert a[0] == b[0] == 0
+    return a[1:], b[1:]
 
 
 def mc_reference(p: float, spec: MonteCarloSpec) -> tuple[float, float]:
@@ -148,17 +279,6 @@ class FixedDraws:
 
 
 class TestSpecs:
-    def test_quadrature_bounds(self):
-        with pytest.raises(RangeError):
-            QuadratureSpec(nodes_per_axis=8)
-        with pytest.raises(RangeError):
-            QuadratureSpec(nodes_per_axis=power.MAX_QUAD_NODES + 1)
-        assert QuadratureSpec(nodes_per_axis=power.MAX_QUAD_NODES).nodes_per_axis == 512
-        with pytest.raises(RangeError):
-            QuadratureSpec(rel_tolerance=1e-12)
-        with pytest.raises(RangeError):
-            QuadratureSpec(rel_tolerance=math.nan)
-
     def test_mc_bounds(self):
         with pytest.raises(RangeError):
             MonteCarloSpec(n_samples=0)
@@ -223,6 +343,8 @@ class TestQuadrature:
 
 
 class TestOneDimensionalRule:
+    """The closed form against the oracles, its pins and its edges."""
+
     PS = [1e-40, 1e-12, 1e-3, 0.5, 1.0]
 
     @pytest.mark.parametrize("p", PS)
@@ -237,15 +359,18 @@ class TestOneDimensionalRule:
         assert abs(entangling_power_quadrature(p) / asymptote - 1) <= 1e-13 + 2 * p
 
     def test_half_is_one_third(self):
-        assert abs(entangling_power_quadrature(0.5) - 1 / 3) <= 1e-14
+        assert abs(entangling_power_quadrature(0.5) - 1 / 3) <= 2 * math.ulp(1 / 3)
 
     def test_unit_p_is_two_catalan_minus_two_ln2(self):
-        # P(1) = 2G - 2 ln 2, G Catalan's constant (50-digit quadrature and PSLQ)
-        catalan = 0.915965594177219015054603514932384110774
-        assert abs(entangling_power_quadrature(1.0) - (2 * catalan - 2 * math.log(2))) <= 1e-14
+        # P(1) = 2G - 2 ln 2, G Catalan's constant: the 40-digit literal
+        two_g_minus_two_ln2 = REFERENCE[-1][1]
+        assert REFERENCE[-1][0] == 1.0
+        assert abs(entangling_power_quadrature(1.0) - two_g_minus_two_ln2) <= 2 * math.ulp(0.4)
 
     def test_array_equals_scalar(self):
-        ps = np.concatenate([[0.0, 1e-300, 1e-40], np.linspace(0.0, 1.0, 301)])
+        switch = power._SERIES_BELOW
+        ps = np.concatenate([[0.0, 1e-300, 1e-40, np.nextafter(switch, 0), switch],
+                             np.linspace(0.0, 1.0, 301)])
         vals = entangling_power_grid(ps)
         assert vals.shape == ps.shape
         for p, val in zip(ps, vals):
@@ -266,12 +391,58 @@ class TestOneDimensionalRule:
             with pytest.raises(RangeError):
                 estimate(bad)
 
-    def test_not_converged_when_rules_disagree(self, monkeypatch):
-        monkeypatch.setattr(power, "_rule", lambda p, n: np.full(len(p), 1.0 / n))
-        with pytest.raises(NotConverged):
-            entangling_power_quadrature(0.3)
-        with pytest.raises(NotConverged):
-            entangling_power_grid(np.linspace(0.0, 1.0, 300))
+
+
+class TestClosedForm:
+    """The Clausen form above power._SERIES_BELOW and the series below it."""
+
+    EDGES = [1e-300, 1e-40, 1e-12, 1e-3, float(np.nextafter(0.1, 0)), 0.1,
+             float(np.nextafter(0.1, 1)), float(np.nextafter(0.25, 0)), 0.25,
+             float(np.nextafter(0.25, 1)), 0.5, 1.0]
+
+    @pytest.mark.parametrize("p,ref", REFERENCE)
+    def test_matches_forty_digit_values(self, p, ref):
+        assert abs(entangling_power_quadrature(p) - ref) <= 2e-15 * ref
+
+    def test_matches_1d_rule_on_seeded_grid(self):
+        rng = np.random.default_rng(20261018)
+        ps = np.concatenate([rng.uniform(0, 1, 5000), 10 ** rng.uniform(-300, 0, 5000)])
+        ps = ps[ps > 0]
+        ref = np.concatenate([rule_1d(block) for block in np.array_split(ps, 20)])
+        assert np.all(np.abs(entangling_power_grid(ps) - ref) <= 1e-13 * ref)
+
+    @pytest.mark.parametrize("p", EDGES)
+    def test_matches_1d_rule_at_edges(self, p):
+        ref = rule_1d([p])[0]
+        assert abs(entangling_power_quadrature(p) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-3, 0.1, 0.25, 0.5, 1.0])
+    def test_matches_bessel_form(self, p):
+        ref = bessel_form(p)
+        assert abs(entangling_power_quadrature(p) - ref) <= 1e-13 * ref
+
+    def test_bessel_form_pins(self):
+        assert bessel_form(1.0) == pytest.approx(REFERENCE[-1][1], rel=1e-14, abs=0)
+        assert bessel_form(0.5) == pytest.approx(1 / 3, rel=1e-14, abs=0)
+
+    def test_tables_regenerate_from_exact_series(self):
+        r, beta = series_coefficients(len(power._R))
+        assert [float(x) for x in r] == list(power._R)
+        assert [float(x) for x in beta] == list(power._BETA)
+        assert r[:5] == [Fraction(1, 9), Fraction(44, 75), Fraction(786, 1225),
+                         Fraction(10496, 19845), Fraction(61340, 160083)]
+        assert [float(x) for x in clausen_coefficients(len(power._CL2))] == list(power._CL2)
+
+    def test_truncations_are_below_rounding(self):
+        # the first omitted terms of the series at the largest p it serves,
+        # and of Cl2(x) / x at the largest x = arccos(1 - p) = pi/2
+        n, p = len(power._R), power._SERIES_BELOW
+        r, beta = series_coefficients(n + 3)
+        tail = sum(abs(r[k] + beta[k] * math.log(2 * p)) * p ** (k + 1) for k in range(n, n + 3))
+        assert tail <= 1e-17 * entangling_power_quadrature(p)
+        n, x = len(power._CL2), math.pi / 2
+        a = clausen_coefficients(n + 3)
+        assert sum(a[k] * x ** (2 * k + 2) for k in range(n, n + 3)) <= 1e-17
 
 
 class TestMonteCarlo:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubitswap import cli, format17, power, scenario, validate
+from qubitswap import cli, format17, scenario, validate
 from qubitswap.amplitude import amplitude_ode_oracle
 from qubitswap.cli import main
 from qubitswap.errors import ParseError, QubitSwapError, RangeError, UnknownFigure
@@ -105,16 +105,14 @@ class TestConfigText:
             "observable = concurrence\ntheta1 = 1.5707963267948966\n"
             "phi1 = 3.1415926535897931\ntheta2 = 0.78539816339744828\nphi2 = 0\n"
             "tau-min = 0\ntau-max = 50\ntau-steps = 1000\nmethod = analytic\n"
-            "power-method = quad\nmc-samples = 100000\nseed = 0\nquad-nodes = 64\n"
-            "quad-tol = 1.0000000000000001e-09\nout = fig8a_curve2.csv\n"
+            "power-method = quad\nmc-samples = 100000\nseed = 0\nout = fig8a_curve2.csv\n"
         )
 
     def test_bytes_without_angles(self):
         assert config_text(figure_preset("fig5")[1]) == (
             "R = 10\nbeta = 1e-08\nomega-ratio = 1500000000\nobservable = power\n"
             "tau-min = 0\ntau-max = 50\ntau-steps = 1000\nmethod = analytic\n"
-            "power-method = quad\nmc-samples = 100000\nseed = 0\nquad-nodes = 64\n"
-            "quad-tol = 1.0000000000000001e-09\nout = fig5_curve1.csv\n"
+            "power-method = quad\nmc-samples = 100000\nseed = 0\nout = fig5_curve1.csv\n"
         )
 
 
@@ -126,7 +124,6 @@ BOX = {
     "theta2": (0.0, math.pi), "phi2": (-1e300, 1e300),
     "tau-min": (0.0, 1e300), "tau-max": (0.0, 1e300), "tau-steps": (2, 10**9),
     "mc-samples": (1, 10**9), "seed": (0, 2**64 - 1),
-    "quad-nodes": (16, 512), "quad-tol": (1e-10, 1e300),
 }
 ANGLE_KEYS = ("theta1", "phi1", "theta2", "phi2")
 
@@ -620,14 +617,16 @@ class TestCliInputErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: tau values must be strictly increasing\n"
 
-    def test_quad_nodes_cap_fails_before_any_nodes(self, capsys, monkeypatch):
-        def no_nodes(n):
-            raise AssertionError("no quadrature nodes may be built")
-
-        monkeypatch.setattr(power, "_nodes", no_nodes)
-        argv = self.with_flag(self.BASE, "--observable", "power") + ["--quad-nodes", "100000"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == "error: nodes_per_axis must lie in [16, 512]\n"
+    def test_removed_quad_flags_are_one_line_usage_errors(self, capsys, tmp_path):
+        # --quad-nodes and --quad-tol tuned the quadrature that the closed
+        # form replaced; a flag or config line still holding one is refused
+        argv = self.with_flag(self.BASE, "--observable", "power")
+        assert main(argv + ["--quad-nodes", "64"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --quad-nodes 64\n"
+        config = tmp_path / "old.conf"
+        config.write_text("quad-nodes = 64\n", encoding="utf-8")
+        assert main(argv + ["--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: line 1: unknown key 'quad-nodes'\n"
 
     def test_non_finite_amplitude_is_numeric_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(scenario, "amplitude", lambda model, t: np.full(len(t), np.nan + 0j))
@@ -691,6 +690,24 @@ class TestDeterminism:
             assert main(flags + ["--out", str(path)]) == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+def run_fresh(code: str, cwd) -> str:
+    """Run code in a fresh interpreter that imports this checkout's package;
+    return its stdout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_import_leaves_out_numpy_polynomial(tmp_path):
+    # src/ has no use for numpy.polynomial, which takes about 6 ms to import
+    code = "import sys, qubitswap.cli; print('numpy.polynomial' in sys.modules)"
+    assert run_fresh(code, tmp_path) == "False\n"
 
 
 # One pass over the five grid observables at 1e5 points, in a fresh
@@ -757,10 +774,4 @@ class TestAllocatorPolicy:
     def test_scan_pass_page_faults(self, tmp_path):
         # About 30 000 minor faults with glibc's dynamic thresholds, which
         # hand each freed block back to the kernel; about 3 000 with them fixed.
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", FAULT_PASS], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert int(done.stdout) < 6_000
+        assert int(run_fresh(FAULT_PASS, tmp_path)) < 6_000
