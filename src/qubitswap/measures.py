@@ -199,10 +199,7 @@ class DensityMatrix4:
 def density_matrix(s: PostBsmState) -> DensityMatrix4:
     """Outer product of the normalized post-measurement amplitude vector
     (0, X, -X, Y)/sqrt(N)."""
-    n = s.N
-    if n < ZERO_NORM_EPS:
-        raise ZeroNorm("projection has vanishing success probability")
-    vec = np.array([0, s.X, -s.X, s.Y], dtype=complex) / math.sqrt(n)
+    vec = np.array([0, s.X, -s.X, s.Y], dtype=complex) / math.sqrt(_checked_norm(s))
     return DensityMatrix4(np.outer(vec, vec.conj()))
 
 

@@ -1,5 +1,7 @@
-"""Acceptance suite: one test per release criterion, each printing a
-PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`."""
+"""Acceptance suite, each test printing a PASS/FAIL line: every check of
+`qubitswap.validate.ALL_CHECKS` with its margin (worst against bound), then
+the release criteria only tests need.  Run with
+`pytest tests/test_acceptance.py -v -s`."""
 
 import math
 import time
@@ -8,98 +10,34 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qubitswap.amplitude import (
-    ModelParams,
-    TimeGrid,
-    amplitude,
-    amplitude_ode_oracle,
-    build_amplitude_model,
-    closed_form_beta0,
-    cubic_coefficients,
-)
+from qubitswap import validate
+from qubitswap.amplitude import ModelParams, amplitude, build_amplitude_model
 from qubitswap.measures import (
     BlochAngles,
     average_linear_entropy,
     concurrence_closed,
-    concurrence_wootters,
-    density_matrix,
     post_bsm_projection,
 )
-from qubitswap.power import MonteCarloSpec, entangling_power_mc, entangling_power_quadrature
+from qubitswap.power import entangling_power_quadrature
 from qubitswap.scenario import STRONG, WEAK, figure_preset, run_figure, run_scan
 
 OMEGA = 1.5e9
 
 
-def report(criterion, ok, detail=""):
+def report(label, ok, detail=""):
     status = "PASS" if ok else "FAIL"
-    print(f"{status} criterion {criterion}: {detail}")
-    assert ok, f"criterion {criterion}: {detail}"
+    print(f"{status} {label}: {detail}")
+    assert ok, f"{label}: {detail}"
 
 
-def test_criterion_1_static_reduction():
+@pytest.mark.parametrize("name, check", validate.ALL_CHECKS,
+                         ids=[name for name, _ in validate.ALL_CHECKS])
+def test_check(name, check):
     start = time.perf_counter()
-    taus = np.linspace(0.0, 50.0, 1000)
-    worst = 0.0
-    for r in (0.1, 10.0):
-        model = build_amplitude_model(ModelParams(R=r, beta=0.0, Omega=OMEGA))
-        got = amplitude(model, taus)
-        ref = np.array([closed_form_beta0(r, t) for t in taus])
-        worst = max(worst, float(np.max(np.abs(got - ref))))
+    worst, bound = check()
     elapsed = time.perf_counter() - start
-    report(
-        1,
-        worst < 1e-10 and elapsed < 1.0,
-        f"beta=0 reduction sup-error {worst:.3g} in {elapsed:.2f}s",
-    )
-
-
-def test_criterion_2_oracle_equivalence():
-    start = time.perf_counter()
-    grid = TimeGrid(0.0, 50.0, 1001)
-    worst = 0.0
-    for params in WEAK + STRONG:
-        analytic = amplitude(build_amplitude_model(params), grid.taus())
-        oracle = amplitude_ode_oracle(params, grid, step=1e-3)
-        worst = max(worst, float(np.max(np.abs(analytic - oracle))))
-    elapsed = time.perf_counter() - start
-    report(
-        2,
-        worst < 1e-6 and elapsed < 30.0,
-        f"analytic vs ODE oracle sup-error {worst:.3g} over 6 parameter sets in {elapsed:.1f}s",
-    )
-
-
-def test_criterion_3_model_invariants():
-    rng = np.random.default_rng(31415)
-    checked = 0
-    worst = 0.0
-    for _ in range(100):
-        params = ModelParams(
-            R=rng.uniform(0.05, 20.0),
-            beta=rng.uniform(0.0, 2e-8),
-            Omega=rng.uniform(1e8, 1e10),
-        )
-        model = build_amplitude_model(params)
-        if model.degenerate:
-            continue
-        checked += 1
-        q, a = model.roots, model.weights
-        c = cubic_coefficients(params)
-        scale = max(1.0, max(abs(x) for x in q))
-        errs = [
-            abs(sum(a) - 1),
-            abs(sum(ai * qi for ai, qi in zip(a, q))),
-            abs(sum(q) + 2) / scale,
-            abs(q[0] * q[1] + q[0] * q[2] + q[1] * q[2] - c.a1) / max(1.0, abs(c.a1)),
-            abs(q[0] * q[1] * q[2] + c.a0) / max(1.0, abs(c.a0)),
-        ]
-        worst = max(worst, max(errs))
-    report(
-        3,
-        worst < 1e-10 and checked > 90,
-        f"normalization/Vieta worst error {worst:.3g} over {checked} draws",
-    )
+    report(name, worst <= bound and elapsed < 1.0,
+           f"worst {worst:.3g}, bound {bound:.3g}, in {elapsed:.2f}s")
 
 
 def test_criterion_4_entropy():
@@ -131,26 +69,7 @@ def test_criterion_4_entropy():
         tau_star = brentq(crossing, taus[idx[0]], taus[idx[0] + 1], xtol=1e-14)
         s_peak = average_linear_entropy(amplitude(model, tau_star))
         peak_ok &= abs(s_peak - 1 / 6) < 1e-9
-    report(4, mc_ok and peak_ok, "; ".join(details) + f"; peak at 1/6: {peak_ok}")
-
-
-def test_criterion_5_concurrence_oracles():
-    rng = np.random.default_rng(5)
-    model = build_amplitude_model(ModelParams(R=10.0, beta=2e-9, Omega=OMEGA))
-    worst = 0.0
-    n = 0
-    while n < 1000:
-        q1 = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        q2 = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        tau = rng.uniform(0, 20)
-        s = post_bsm_projection(q1, q2, amplitude(model, tau))
-        if s.N < 1e-12:
-            continue
-        n += 1
-        worst = max(
-            worst, abs(concurrence_wootters(density_matrix(s)) - concurrence_closed(s))
-        )
-    report(5, worst < 1e-8, f"closed form vs spin-flip worst gap {worst:.3g} over 1000 draws")
+    report("criterion 4", mc_ok and peak_ok, "; ".join(details) + f"; peak at 1/6: {peak_ok}")
 
 
 def test_criterion_6_bell_conditions():
@@ -169,26 +88,8 @@ def test_criterion_6_bell_conditions():
     zero_ok = all(
         concurrence_closed(post_bsm_projection(ground, other, e)) == 0.0 for e in e_vals
     )
-    report(6, max_ok and zero_ok, f"theta1=theta2 stays at 1: {max_ok}; theta1=pi stays at 0: {zero_ok}")
-
-
-def test_criterion_7_entangling_power():
-    est_ok = True
-    details = []
-    for p in (0.1, 0.5, 1.0):
-        quad = entangling_power_quadrature(p)
-        mean, stderr = entangling_power_mc(p, MonteCarloSpec(n_samples=1_000_000, seed=7))
-        est_ok &= abs(quad - mean) <= 3 * stderr
-        details.append(f"p={p}: |{quad:.5f}-{mean:.5f}| vs 3se={3*stderr:.2g}")
-    grid_vals = [entangling_power_quadrature(p) for p in np.linspace(0.0, 1.0, 21)]
-    range_ok = all(0 <= v <= 1 for v in grid_vals)
-    mono_ok = all(b >= a for a, b in zip(grid_vals, grid_vals[1:]))
-    zero_ok = grid_vals[0] == 0.0
-    report(
-        7,
-        est_ok and range_ok and mono_ok and zero_ok,
-        "; ".join(details) + f"; range {range_ok}, monotone {mono_ok}, E(0)=0 {zero_ok}",
-    )
+    report("criterion 6", max_ok and zero_ok,
+           f"theta1=theta2 stays at 1: {max_ok}; theta1=pi stays at 0: {zero_ok}")
 
 
 def first_peak_tau(taus, values):
@@ -242,7 +143,7 @@ def test_criterion_8_figure_trends():
 
     elapsed = time.perf_counter() - start
     report(
-        8,
+        "criterion 8",
         a_ok and b_ok and c_ok and d_ok and elapsed < 60.0,
         f"(a) peaks {['%.3f' % p for p in peaks]}; (b) entropy {s_static:.4f}<{s_moving:.4f}, "
         f"power {pw_static:.4f}<{pw_moving:.4f}; (c) gg {gg[0]:.4f}>{gg[1]:.4f}; "
@@ -256,4 +157,4 @@ def test_criterion_9_determinism(tmp_path):
         a = run_figure(fig_id, tmp_path / "a" / fig_id)
         b = run_figure(fig_id, tmp_path / "b" / fig_id)
         identical &= all(pa.read_bytes() == pb.read_bytes() for pa, pb in zip(a, b))
-    report(9, identical, "repeated figure runs produce byte-identical CSVs")
+    report("criterion 9", identical, "repeated figure runs produce byte-identical CSVs")

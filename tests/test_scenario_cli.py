@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import os
 import platform
@@ -663,11 +665,61 @@ class TestCliInputErrors:
         assert err == "internal error: LinAlgError: Array must not contain infs or NaNs\n"
 
 
+CHECK_NAMES = [name for name, _ in validate.ALL_CHECKS]
+
+# (check, the function it checks, how that function's fifth result is spoiled,
+# the worst and the bound that validate then prints)
+SPOILED = [
+    ("ode-oracle-agreement", "amplitude_ode_oracle", lambda out: out + 2e-6, "2e-06", "1e-06"),
+    ("ode-oracle-agreement", "amplitude_ode_oracle", lambda out: np.append(out[:-1], np.nan),
+     "nan", "1e-06"),
+    ("concurrence-oracle", "concurrence_wootters", lambda c: math.nan, "nan", "1e-08"),
+]
+
+POWER_FLAWS = [
+    lambda v: np.r_[5e-324, v[1:]],  # P(0) above 0
+    lambda v: np.r_[v[:3], v[2], v[4:]],  # one flat step
+    lambda v: np.r_[v[:-1], np.nextafter(1.0, 2.0)],  # P above 1
+]
+
+
 class TestValidateCommand:
     def test_prints_one_pass_line_per_check(self, capsys):
         assert main(["validate"]) == 0
-        expected = [f"PASS {name}" for name, _ in validate.ALL_CHECKS]
+        assert capsys.readouterr().out.splitlines() == [f"PASS {name}" for name in CHECK_NAMES]
+
+    @pytest.mark.parametrize("name, attr, spoil, worst, bound", SPOILED)
+    def test_one_spoiled_check_fails(self, capsys, monkeypatch, name, attr, spoil, worst, bound):
+        real, calls = getattr(validate, attr), itertools.count()
+
+        def spoiled(*args, **kwargs):
+            out = real(*args, **kwargs)
+            return spoil(out) if next(calls) == 4 else out
+
+        monkeypatch.setattr(validate, attr, spoiled)
+        assert main(["validate"]) == 2
+        expected = [f"PASS {n}" for n in CHECK_NAMES]
+        expected[CHECK_NAMES.index(name)] = f"FAIL {name}: worst {worst} exceeds bound {bound}"
         assert capsys.readouterr().out.splitlines() == expected
+
+    def test_tightest_condition(self):
+        tightest = validate._tightest
+        assert math.isnan(tightest((0.0, 1.0), (math.nan, 1.0))[0])
+        assert tightest((0.5, 1.0), (1e-300, 0.0)) == (1e-300, 0.0)  # a failed exact condition
+        assert tightest((0.9, 1.0), (-1.0, 0.0)) == (0.9, 1.0)  # a met one has no headroom
+        assert tightest((0.5, 1.0), (2e-12, 1e-12), (0.0, 0.0)) == (2e-12, 1e-12)
+
+    @pytest.mark.parametrize("flaw", POWER_FLAWS)
+    def test_power_monotone_is_exact(self, monkeypatch, flaw):
+        real = validate.entangling_power_grid
+        monkeypatch.setattr(validate, "entangling_power_grid", lambda p: flaw(real(p)))
+        worst, bound = validate.check_power_monotone()
+        assert worst > bound == 0
+
+    def test_check_names_match_benchmark_layers(self):
+        spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+        layers = [m["name"] for m in spec["per_layer"] if m["name"].startswith("validate.")]
+        assert layers == [f"validate.{name}.s" for name in CHECK_NAMES]
 
 
 class TestDeterminism:
