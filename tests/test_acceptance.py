@@ -16,6 +16,8 @@ from qubitswap.measures import (
     BlochAngles,
     average_linear_entropy,
     concurrence_closed,
+    concurrence_wootters,
+    density_matrix,
     post_bsm_projection,
 )
 from qubitswap.power import entangling_power_quadrature
@@ -70,6 +72,28 @@ def test_criterion_4_entropy():
         s_peak = average_linear_entropy(amplitude(model, tau_star))
         peak_ok &= abs(s_peak - 1 / 6) < 1e-9
     report("criterion 4", mc_ok and peak_ok, "; ".join(details) + f"; peak at 1/6: {peak_ok}")
+
+
+def test_criterion_5_concurrence_oracles():
+    # the table's concurrence-oracle draws E from the unit disk; here E comes
+    # from the moving-qubit model at random times
+    rng = np.random.default_rng(5)
+    model = build_amplitude_model(ModelParams(R=10.0, beta=2e-9, Omega=OMEGA))
+    worst = 0.0
+    n = 0
+    while n < 1000:
+        q1 = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        q2 = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        tau = rng.uniform(0, 20)
+        s = post_bsm_projection(q1, q2, amplitude(model, tau))
+        if s.N < 1e-12:
+            continue
+        n += 1
+        worst = np.max(
+            [worst, abs(concurrence_wootters(density_matrix(s)) - concurrence_closed(s))]
+        )
+    report("criterion 5", worst < 1e-8,
+           f"closed form vs spin-flip worst gap {worst:.3g} over 1000 draws")
 
 
 def test_criterion_6_bell_conditions():

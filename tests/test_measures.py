@@ -42,6 +42,10 @@ def classify_initial_state(q1: BlochAngles, q2: BlochAngles) -> InitialStateClas
     return InitialStateClass.GENERIC
 
 
+def random_amplitude(rng):
+    return math.sqrt(rng.uniform(0, 1)) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+
+
 class TestBlochAngles:
     def test_phi_wraps(self):
         assert BlochAngles(theta=1.0, phi=5 * math.pi).phi == pytest.approx(math.pi)
@@ -207,6 +211,18 @@ class TestConcurrenceWootters:
     def test_product_state(self):
         rho = DensityMatrix4(np.diag([0, 0, 0, 1.0]).astype(complex))
         assert concurrence_wootters(rho) == pytest.approx(0.0, abs=1e-10)
+
+    def test_matches_closed_form(self):
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            q1 = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            q2 = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            s = post_bsm_projection(q1, q2, random_amplitude(rng))
+            if s.N < 1e-12:
+                continue
+            assert abs(
+                concurrence_wootters(density_matrix(s)) - concurrence_closed(s)
+            ) < 1e-8
 
 
 class TestClassifyInitialState:
