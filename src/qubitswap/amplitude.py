@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,6 +116,26 @@ class TimeGrid:
     def taus(self) -> np.ndarray:
         return np.linspace(self.tau_start, self.tau_end, self.n_points)
 
+    def tau_blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """taus() in blocks of rows points, bit for bit, never all at once:
+        np.linspace is arange(n) * step + start with its last point set to
+        tau_end.  The last block takes up to rows + 1 points: numpy rounds an
+        in-place complex product over one element differently than over more."""
+        n, div, delta = self.n_points, self.n_points - 1, self.tau_end - self.tau_start
+        step = delta / div if div else 0.0
+        edges = [*range(0, max(div, 1), rows), n]
+        for lo, hi in zip(edges, edges[1:]):
+            y = np.arange(lo, hi, dtype=float)
+            if step:
+                y *= step
+            else:  # one point, or a step that underflowed: numpy divides first
+                y /= max(div, 1)
+                y *= delta
+            y += self.tau_start
+            if hi == n > 1:
+                y[-1] = self.tau_end
+            yield y
+
 
 def cubic_coefficients(params: ModelParams) -> CubicCoefficients:
     """Characteristic cubic of the Laplace-domain amplitude."""
@@ -179,8 +200,9 @@ def build_amplitude_model(params: ModelParams) -> AmplitudeModel:
     )
 
 
-def amplitude(model: AmplitudeModel, tau) -> complex | np.ndarray:
-    """E(tau) from the exponential sum.  Accepts a scalar or an array of taus."""
+def amplitude(model: AmplitudeModel, tau, grid_size: int | None = None) -> complex | np.ndarray:
+    """E(tau) from the exponential sum.  Accepts a scalar or an array of taus;
+    a block of a larger grid passes its size as grid_size (see below)."""
     if model.degenerate:
         raise DegenerateModel(
             "near-degenerate roots: evaluate via amplitude_ode_oracle"
@@ -188,11 +210,11 @@ def amplitude(model: AmplitudeModel, tau) -> complex | np.ndarray:
     t = np.asarray(tau, dtype=float)
     out = np.zeros(t.shape, dtype=complex)
     term = np.empty_like(out)  # a * exp(qi * t), one operation at a time in place
-    # The product keeps the operand order numpy gives ``a * np.exp(qi * t)``:
-    # from 256 KiB it reuses the temporary as ``exp(...) * a`` (temporary
-    # elision).  With SIMD fused multiply-adds the order moves a complex
-    # product's last bit, and with it the CSV bytes.
-    swapped = term.nbytes >= _ELIDE_BYTES
+    # The product keeps the operand order numpy gives ``a * np.exp(qi * t)``
+    # on the whole grid: from 256 KiB it reuses the temporary as
+    # ``exp(...) * a`` (temporary elision).  With SIMD fused multiply-adds the
+    # order moves a complex product's last bit, and with it the CSV bytes.
+    swapped = term.itemsize * (t.size if grid_size is None else grid_size) >= _ELIDE_BYTES
     for a, qi in zip(model.weights, model.roots):
         np.multiply(qi, t, out=term)
         np.exp(term, out=term)
@@ -247,10 +269,16 @@ def _rk4_increment(m: np.ndarray, span: float, n_steps: int) -> np.ndarray:
         d = 2 * d + d @ d  # (I + d)^2 - I
 
 
-def amplitude_ode_oracle(
-    params: ModelParams, grid: TimeGrid, step: float = 1e-3
-) -> np.ndarray:
-    """Integrate the memory-kernel equation as an equivalent local ODE.
+def amplitude_ode_oracle(params: ModelParams, grid: TimeGrid, step: float = 1e-3) -> np.ndarray:
+    """E sampled on the grid by the ODE route of ode_oracle_walk."""
+    return ode_oracle_walk(params, step)(grid.taus())
+
+
+def ode_oracle_walk(params: ModelParams, step: float = 1e-3) -> Callable[[np.ndarray], np.ndarray]:
+    """Integrate the memory-kernel equation as an equivalent local ODE over
+    a grid that comes in blocks: each call takes the next block's taus and
+    returns E there, carrying the state vector, the last tau and the span
+    increments on, so the blocks give the bits of one call on the whole grid.
 
     Splitting the exponential-cosh kernel into its two exponentials turns the
     integro-differential equation into the constant-coefficient linear system
@@ -264,7 +292,7 @@ def amplitude_ode_oracle(
 
     Classical RK4 with fixed step; sub-steps are shrunk so every grid point
     is hit exactly: a span between grid points takes n = ceil(span/step)
-    steps of h = span/n.  Returns E sampled on the grid.
+    steps of h = span/n.
 
     On a linear system one RK4 step is a matrix.  With A = hM the stages are
     k1 = M s, k2 = M(s + h k1/2), k3 = M(s + h k2/2), k4 = M(s + h k3), so
@@ -300,16 +328,21 @@ def amplitude_ode_oracle(
 
     k = params.R**2 / 4
     m = np.array([[0, -k, -k], [1, -yp, 0], [1, 0, -ym]], dtype=complex)
-    taus = grid.taus()
-    spans = np.diff(taus, prepend=0.0)
-    increments = {
-        span: _rk4_increment(m, span, max(1, math.ceil(span / step - 1e-12)))
-        for span in set(spans[spans > 0].tolist())
-    }
-    out = np.empty(len(taus), dtype=complex)
+    increments: dict[float, np.ndarray] = {}
     state = np.array([1, 0, 0], dtype=complex)
-    for i, span in enumerate(spans.tolist()):
-        if span > 0:
-            state = state + increments[span] @ state
-        out[i] = state[0]
-    return out
+    last = 0.0
+
+    def walk(taus: np.ndarray) -> np.ndarray:
+        nonlocal state, last
+        spans = np.diff(taus, prepend=last)
+        for span in set(spans[spans > 0].tolist()) - increments.keys():
+            increments[span] = _rk4_increment(m, span, max(1, math.ceil(span / step - 1e-12)))
+        out = np.empty(len(taus), dtype=complex)
+        for i, span in enumerate(spans.tolist()):
+            if span > 0:
+                state = state + increments[span] @ state
+            out[i] = state[0]
+        last = taus[-1] if len(taus) else last
+        return out
+
+    return walk

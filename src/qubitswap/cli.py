@@ -11,8 +11,8 @@ from pathlib import Path
 
 from . import validate
 from .errors import ParseError, QubitSwapError, RangeError, UnknownFigure
-from .scenario import FIGURE_IDS, OPTIONS, emit_csv, parse_config, run_figure, run_scan
-from .scenario import format_csv  # noqa: F401 (re-exported)
+from .scenario import FIGURE_IDS, OPTIONS, emit_csv, parse_config, run_figure
+from .scenario import format_csv, run_scan  # noqa: F401 (re-exported)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,7 +79,7 @@ def _cmd_scan(args) -> int:
         file_text = args.config.read_text(encoding="utf-8")
     flags = {key: getattr(args, key.replace("-", "_")) for key in OPTIONS}
     config = parse_config(flags, file_text=file_text)
-    emit_csv(run_scan(config), config.out)
+    emit_csv(config, config.out)
     return EXIT_OK
 
 

@@ -141,7 +141,11 @@ def entangling_power_mc_grid(p, spec: MonteCarloSpec) -> tuple[np.ndarray, np.nd
     in [1/2, 1), and scale back exactly: squares of concurrences of order p
     underflow below p of about 1e-160, and the scaled ones do not overflow
     even on the ridge.  Exactly (0.0, 0.0) where p = 0."""
-    p = _checked_p(p)
+    return mc_estimates(_checked_p(p), mc_draws(spec))
+
+
+def mc_draws(spec: MonteCarloSpec) -> np.ndarray:
+    """The ratios r of spec's seeded draws (entangling_power_mc_grid)."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
     u1, u2 = rng.uniform(-1, 1, (2, n))
@@ -153,7 +157,14 @@ def entangling_power_mc_grid(p, spec: MonteCarloSpec) -> tuple[np.ndarray, np.nd
     two_c1c2_sq = 2 * (c1 * c2) ** 2
     r = np.full(n, math.inf)
     np.divide(y_sq, two_c1c2_sq, out=r, where=two_c1c2_sq > 0)
+    return r
 
+
+def mc_estimates(p, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo (mean, standard error) arrays of p's shape over the draws
+    r of mc_draws; each p's pair depends only on p and r."""
+    p = _checked_p(p)
+    n = len(r)
     means, stderrs = np.zeros(p.shape), np.zeros(p.shape)
     conc = np.empty(n)
     r_min = float(r.min())

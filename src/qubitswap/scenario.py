@@ -3,7 +3,9 @@ and one-command presets for the published parameter sets."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import sys
 from collections import defaultdict
 from collections.abc import Iterator
@@ -12,13 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .amplitude import (
-    ModelParams,
-    TimeGrid,
-    amplitude,
-    amplitude_ode_oracle,
-    build_amplitude_model,
-)
+from .amplitude import ModelParams, TimeGrid, amplitude, build_amplitude_model, ode_oracle_walk
+from .amplitude import amplitude_ode_oracle  # noqa: F401 (re-exported)
 from .errors import NonFiniteResult, ParseError, RangeError, UnknownFigure
 from .format17 import format_g17
 from .measures import (
@@ -29,10 +26,18 @@ from .measures import (
     linear_entropy,
     post_bsm_projection,
 )
-from .power import MonteCarloSpec, entangling_power_grid, entangling_power_mc_grid
+from .power import MonteCarloSpec, entangling_power_grid, mc_draws, mc_estimates
 from .power import entangling_power_mc, entangling_power_quadrature  # noqa: F401 (re-exported)
 
-OBSERVABLES = ("amplitude", "entropy", "entropy-avg", "concurrence", "power", "density")
+COLUMNS = {  # observable -> CSV columns
+    "amplitude": ("tau", "amplitude_re", "amplitude_im", "amplitude_abs"),
+    "entropy": ("tau", "entropy"),
+    "entropy-avg": ("tau", "entropy_avg"),
+    "concurrence": ("tau", "concurrence"),
+    "power": ("tau", "power"),
+    "density": ("tau", "pop_ee", "pop_eg", "pop_ge", "pop_gg"),
+}
+OBSERVABLES = tuple(COLUMNS)
 METHODS = ("analytic", "oracle")
 POWER_METHODS = ("quad", "mc")
 _CSV_CHUNK = 1 << 14  # values formatted per numpy pass
@@ -62,8 +67,9 @@ class ScenarioConfig:
             )
 
 
-def _check_increasing(taus: np.ndarray) -> None:
-    if len(taus) > 1 and not np.all(np.diff(taus) > 0):
+def _check_increasing(taus: np.ndarray, before: float = -math.inf) -> None:
+    """taus rise strictly, and from above before, the tau of the block before."""
+    if len(taus) and not (taus[0] > before and np.all(np.diff(taus) > 0)):
         raise RangeError("tau values must be strictly increasing")
 
 
@@ -193,81 +199,107 @@ def config_text(config: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _survival_amplitudes(config: ScenarioConfig) -> np.ndarray:
+def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The scan: (taus, values) for one block of rows at a time, amplitude
+    then observable on that block only, so memory holds one block whatever
+    the grid size.  The blocks are the bits of one pass over the whole grid:
+    the taus are linspace's, amplitude() takes the grid's operand order, the
+    ODE walk carries its state and the Monte Carlo draws are made once."""
+    grid, obs = config.grid, config.observable
+    rows = _CSV_CHUNK // len(COLUMNS[obs])
+    last = -math.inf
+    for taus in grid.tau_blocks(rows):  # fail before any amplitude or power work
+        _check_increasing(taus, last)
+        last = taus[-1]
     # An overflow inside a route is reported once, as NonFiniteResult below.
     with np.errstate(over="ignore", invalid="ignore"):
         model = build_amplitude_model(config.params)
-        if config.method == "oracle" or model.degenerate:
-            e_vals = amplitude_ode_oracle(config.params, config.grid)
-        else:
-            e_vals = amplitude(model, config.grid.taus())
-    if not np.all(np.isfinite(e_vals)):
-        raise NonFiniteResult(f"the survival amplitude overflowed for {config.params}")
-    return e_vals
+    walk = ode_oracle_walk(config.params) if config.method == "oracle" or model.degenerate else None
+    draws = mc_draws(config.mc) if obs == "power" and config.power_method == "mc" else None
+
+    for taus in grid.tau_blocks(rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_vals = walk(taus) if walk else amplitude(model, taus, grid_size=grid.n_points)
+        if not np.all(np.isfinite(e_vals)):
+            raise NonFiniteResult(f"the survival amplitude overflowed for {config.params}")
+        if obs == "amplitude":
+            vals = np.column_stack([e_vals.real, e_vals.imag, np.abs(e_vals)])
+        elif obs == "entropy":
+            theta = config.angles[0].theta if config.angles else 0.0
+            vals = linear_entropy(theta, e_vals)[:, None]
+        elif obs == "entropy-avg":
+            vals = average_linear_entropy(e_vals)[:, None]
+        elif obs == "concurrence":
+            vals = concurrence_closed(post_bsm_projection(*config.angles, e_vals))[:, None]
+        elif obs == "density":
+            vals = density_populations(post_bsm_projection(*config.angles, e_vals))
+        else:  # power
+            p_vals = np.clip(np.abs(e_vals) ** 2, 0.0, 1.0)
+            vals = (entangling_power_grid(p_vals) if draws is None
+                    else mc_estimates(p_vals, draws)[0])[:, None]
+        yield taus, vals
 
 
 def run_scan(config: ScenarioConfig) -> TimeSeries:
-    """Evaluate the configured observable on the time grid."""
-    taus = config.grid.taus()
-    _check_increasing(taus)  # fail before any amplitude or power work
-    e_vals = _survival_amplitudes(config)
-
-    obs = config.observable
-    if obs == "amplitude":
-        cols = ("tau", "amplitude_re", "amplitude_im", "amplitude_abs")
-        vals = np.column_stack([e_vals.real, e_vals.imag, np.abs(e_vals)])
-    elif obs == "entropy":
-        theta = config.angles[0].theta if config.angles else 0.0
-        cols = ("tau", "entropy")
-        vals = linear_entropy(theta, e_vals)[:, None]
-    elif obs == "entropy-avg":
-        cols = ("tau", "entropy_avg")
-        vals = average_linear_entropy(e_vals)[:, None]
-    elif obs == "concurrence":
-        cols = ("tau", "concurrence")
-        vals = concurrence_closed(post_bsm_projection(*config.angles, e_vals))[:, None]
-    elif obs == "density":
-        cols = ("tau", "pop_ee", "pop_eg", "pop_ge", "pop_gg")
-        vals = density_populations(post_bsm_projection(*config.angles, e_vals))
-    elif obs == "power":
-        cols = ("tau", "power")
-        p_vals = np.clip(np.abs(e_vals) ** 2, 0.0, 1.0)
-        if config.power_method == "mc":
-            vals = entangling_power_mc_grid(p_vals, config.mc)[0][:, None]
-        else:
-            vals = entangling_power_grid(p_vals)[:, None]
-    else:  # pragma: no cover - guarded by config validation
-        raise RangeError(f"unknown observable {obs!r}")
-
-    return TimeSeries(columns=cols, taus=taus, values=vals)
+    """Evaluate the configured observable on the time grid: the blocks of
+    scan_blocks, joined, so memory grows with the grid."""
+    taus, vals = zip(*scan_blocks(config))
+    return TimeSeries(COLUMNS[config.observable], np.concatenate(taus), np.concatenate(vals))
 
 
-def _csv_chunks(series: TimeSeries) -> Iterator[bytes]:
+def _csv_chunks(columns, blocks) -> Iterator[bytes]:
     """The CSV as ASCII blocks: the header line, then one line per tau with
     every value as ``{:.17g}``, formatted by ``format_g17`` about
-    ``_CSV_CHUNK`` values at a time."""
-    yield (",".join(series.columns) + "\n").encode()
-    rows = max(1, _CSV_CHUNK // len(series.columns))
-    for i in range(0, len(series.taus), rows):
-        yield format_g17(np.column_stack([series.taus[i:i + rows], series.values[i:i + rows]]))
+    ``_CSV_CHUNK`` values at a time from each block of (taus, values)."""
+    yield (",".join(columns) + "\n").encode()
+    rows = max(1, _CSV_CHUNK // len(columns))
+    for taus, values in blocks:
+        for i in range(0, len(taus), rows):
+            yield format_g17(np.column_stack([taus[i:i + rows], values[i:i + rows]]))
 
 
 def format_csv(series: TimeSeries) -> str:
     """The whole CSV as one string, the bytes emit_csv writes."""
-    return "".join(chunk.decode() for chunk in _csv_chunks(series))
+    chunks = _csv_chunks(series.columns, [(series.taus, series.values)])
+    return "".join(chunk.decode() for chunk in chunks)
 
 
-def emit_csv(series: TimeSeries, path) -> None:
-    """Write the series as CSV with LF endings and 17 significant digits to
-    path, or to stdout if path is ``"-"``; byte-identical across runs for
-    identical configs and seeds.  Each block is written as soon as it is
-    formatted, so memory holds one block of text, never the whole CSV."""
+def emit_csv(source, path) -> None:
+    """Write a TimeSeries, or a ScenarioConfig's scan block by block, as CSV
+    (LF endings, 17 significant digits, byte-identical across runs for the
+    same config and seed) to path, or to stdout if path is ``"-"``.
+
+    Two blocks are computed before path is opened, so a scan of one block
+    is complete and written in place, like a TimeSeries, a symlink, a device
+    or a pipe.  A longer scan goes to a sibling temporary file that replaces
+    path once every block is written, so a failed scan leaves path as it
+    was.  On stdout the blocks before a failure are already written."""
+    if isinstance(source, ScenarioConfig):
+        columns, blocks = COLUMNS[source.observable], scan_blocks(source)
+    else:
+        columns, blocks = source.columns, iter([(source.taus, source.values)])
+    head = list(itertools.islice(blocks, 2))
+    complete = len(head) < 2
+    chunks = _csv_chunks(columns, itertools.chain(head, blocks))
+    del head  # so that each block is freed once written
     if path == "-":
-        for chunk in _csv_chunks(series):
+        for chunk in chunks:
             sys.stdout.write(chunk.decode())
         return
-    with open(path, "wb") as fh:
-        fh.writelines(_csv_chunks(series))
+    in_place = complete or os.path.lexists(path) and (
+        os.path.islink(path) or not os.path.isfile(path))
+    tmp = path if in_place else f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        if not in_place:
+            os.replace(tmp, path)
+    except BaseException as exc:
+        if not in_place and os.path.lexists(tmp):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:  # not the temporary file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        raise
 
 
 # The published parameter sets: weak and strong coupling, Omega = 1.5e9.
@@ -321,10 +353,7 @@ def run_figure(fig_id: str, outdir) -> list[Path]:
     """Run every curve of a preset and write its CSV into outdir."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for cfg in figure_preset(fig_id):
-        series = run_scan(cfg)
-        path = outdir / cfg.out
-        emit_csv(series, path)
-        paths.append(path)
-    return paths
+    configs = figure_preset(fig_id)
+    for cfg in configs:
+        emit_csv(cfg, outdir / cfg.out)
+    return [outdir / cfg.out for cfg in configs]

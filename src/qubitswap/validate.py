@@ -152,12 +152,14 @@ ALL_CHECKS = (
 
 
 def run_all(report=print) -> bool:
+    """PASS or FAIL per check; one that raises fails with its error.  True if all pass."""
     ok = True
     for name, check in ALL_CHECKS:
-        worst, bound = check()
-        if worst <= bound:
-            report(f"PASS {name}")
-        else:
-            ok = False
-            report(f"FAIL {name}: worst {worst:.3g} exceeds bound {bound:.3g}")
+        try:
+            worst, bound = check()
+            failure = None if worst <= bound else f"worst {worst:.3g} exceeds bound {bound:.3g}"
+        except Exception as exc:  # the library under test raised
+            failure = f"{type(exc).__name__}: {exc}"
+        report(f"PASS {name}" if failure is None else f"FAIL {name}: {failure}")
+        ok = ok and failure is None
     return ok

@@ -10,6 +10,7 @@ from qubitswap.amplitude import (
     TimeGrid,
     amplitude,
     amplitude_ode_oracle,
+    ode_oracle_walk,
     build_amplitude_model,
     closed_form_beta0,
     cubic_coefficients,
@@ -302,6 +303,14 @@ class TestOdeOracle:
         ref = np.array([closed_form_beta0(R, t) for t in grid.taus()])
         assert np.max(np.abs(amplitude_ode_oracle(params, grid) - ref)) < 1e-4
 
+    @pytest.mark.parametrize("rows", [1, 2, 7, 250, 500])
+    def test_walk_over_blocks_equals_one_call(self, rows):
+        # the state, the last tau and the span increments carry across blocks
+        params, grid = STRONG[2], TimeGrid(0.5, 20.0, 501)
+        walk = ode_oracle_walk(params)
+        got = np.concatenate([walk(taus) for taus in grid.tau_blocks(rows)])
+        assert got.tobytes() == amplitude_ode_oracle(params, grid).tobytes()
+
     @pytest.mark.parametrize("R", [142.0, 1000.0, 3000.0])
     def test_step_guard_counts_rabi_rate(self, R):
         # |y+-| = 1 here; the oscillating roots approach +-iR/sqrt(2)
@@ -327,3 +336,27 @@ class TestTimeGrid:
 
     def test_single_instant_allowed(self):
         assert list(TimeGrid(1.0, 1.0, 1).taus()) == [1.0]
+
+    @pytest.mark.parametrize("grid", [
+        TimeGrid(0.0, 50.0, 1000), TimeGrid(1.0, 1.0, 1), TimeGrid(1.0, 1.0, 9),
+        TimeGrid(1.0, 1.000000000000001, 100), TimeGrid(0.3, 77.7, 3277),
+        TimeGrid(0.0, 1e-300, 5), TimeGrid(2.5, 17.3, 8193),
+        TimeGrid(0.0, 5e-324, 4),  # the step underflows to 0: numpy divides first
+    ])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4096, 8192])
+    def test_blocks_are_linspace_bits(self, grid, rows):
+        blocks = list(grid.tau_blocks(rows))
+        assert np.concatenate(blocks).tobytes() == grid.taus().tobytes()
+        # every block but the last has rows points, and the last one, up to
+        # rows + 1, has one only when the grid has
+        assert all(len(b) == rows for b in blocks[:-1])
+        assert 1 < len(blocks[-1]) <= rows + 1 or grid.n_points == 1
+
+    def test_random_grids_block_like_linspace(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            start = rng.uniform(0, 10) ** rng.integers(1, 3)
+            end = start + rng.uniform(0, 100) * 10.0 ** rng.integers(-15, 3)
+            grid = TimeGrid(start, end, int(rng.integers(2, 5000)))
+            got = np.concatenate(list(grid.tau_blocks(int(rng.integers(2, 700)))))
+            assert got.tobytes() == grid.taus().tobytes()

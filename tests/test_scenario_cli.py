@@ -15,9 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubitswap import cli, format17, scenario, validate
-from qubitswap.amplitude import amplitude_ode_oracle
+from qubitswap.amplitude import amplitude, amplitude_ode_oracle, build_amplitude_model
 from qubitswap.cli import main
-from qubitswap.errors import ParseError, QubitSwapError, RangeError, UnknownFigure
+from qubitswap.errors import ParseError, QubitSwapError, RangeError, UnknownFigure, ZeroNorm
+from qubitswap.measures import (
+    average_linear_entropy,
+    concurrence_closed,
+    density_populations,
+    linear_entropy,
+    post_bsm_projection,
+)
+from qubitswap.power import entangling_power_grid, entangling_power_mc_grid
 from qubitswap.scenario import (
     FIGURE_IDS,
     OPTIONS,
@@ -172,11 +180,10 @@ class TestOptionTableProperties:
         seen = []
         argv = ["scan"] + [f"--{key}={as_text(key, value)}" for key, value in values.items()]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "run_scan", seen.append)
-            mp.setattr(cli, "format_csv", lambda series: "")
-            mp.setattr(cli, "emit_csv", lambda series, path: None)
+            mp.setattr(cli, "emit_csv", lambda config, path: seen.append((config, path)))
             assert main(argv) == 0
-        assert seen == [parse_config(values)]
+        config = parse_config(values)
+        assert seen == [(config, config.out)]
 
 
 class TestRunScan:
@@ -385,9 +392,22 @@ class TestStreamedCsv:
         path = tmp_path / "edges.csv"
         emit_csv(series, path)
         assert path.read_bytes() == want
-        monkeypatch.setattr(cli, "run_scan", lambda config: series)
-        assert main(["scan", "--R", "0.1", "--omega-ratio", "1.5e9",
-                     "--observable", "amplitude", "--out", "-"]) == 0
+        # the same rows as a density scan's blocks, through the CLI
+        density = TimeSeries(scenario.COLUMNS["density"], series.taus, series.values)
+        rows = scenario._CSV_CHUNK // 5
+
+        def blocks(config):
+            n = len(density.taus)
+            return ((density.taus[i:i + rows], density.values[i:i + rows])
+                    for i in range(0, n, rows))
+
+        monkeypatch.setattr(scenario, "scan_blocks", blocks)
+        want = reference_format_csv(density).encode()
+        argv = ["scan", "--R", "0.1", "--omega-ratio", "1.5e9", "--observable", "density",
+                "--theta1", "0", "--theta2", "1"]
+        assert main(argv + ["--out", str(path)]) == 0
+        assert path.read_bytes() == want
+        assert main(argv + ["--out", "-"]) == 0
         assert capsysbinary.readouterr().out == want
 
     def test_one_row_series(self, tmp_path):
@@ -432,6 +452,167 @@ class TestStreamedCsv:
         assert text == want == "".join(",".join(f"{v:.17g}" for v in row) + "\n"
                                        for row in block).encode()
         assert peak <= 2.5e6
+
+
+def reference_run_scan(config):
+    """The whole-grid scan, the reference for run_scan's blocks: every
+    column of the whole grid at once, as one array expression each."""
+    taus = config.grid.taus()
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = build_amplitude_model(config.params)
+        if config.method == "oracle" or model.degenerate:
+            e_vals = amplitude_ode_oracle(config.params, config.grid)
+        else:
+            e_vals = amplitude(model, taus)
+    obs = config.observable
+    if obs == "amplitude":
+        cols = ("tau", "amplitude_re", "amplitude_im", "amplitude_abs")
+        vals = np.column_stack([e_vals.real, e_vals.imag, np.abs(e_vals)])
+    elif obs == "entropy":
+        theta = config.angles[0].theta if config.angles else 0.0
+        cols = ("tau", "entropy")
+        vals = linear_entropy(theta, e_vals)[:, None]
+    elif obs == "entropy-avg":
+        cols = ("tau", "entropy_avg")
+        vals = average_linear_entropy(e_vals)[:, None]
+    elif obs == "concurrence":
+        cols = ("tau", "concurrence")
+        vals = concurrence_closed(post_bsm_projection(*config.angles, e_vals))[:, None]
+    elif obs == "density":
+        cols = ("tau", "pop_ee", "pop_eg", "pop_ge", "pop_gg")
+        vals = density_populations(post_bsm_projection(*config.angles, e_vals))
+    else:
+        cols = ("tau", "power")
+        p_vals = np.clip(np.abs(e_vals) ** 2, 0.0, 1.0)
+        if config.power_method == "mc":
+            vals = entangling_power_mc_grid(p_vals, config.mc)[0][:, None]
+        else:
+            vals = entangling_power_grid(p_vals)[:, None]
+    return TimeSeries(columns=cols, taus=taus, values=vals)
+
+
+SCAN_FLAGS = {"R": 10.0, "beta": 1e-8, "omega-ratio": 1.5e9, "theta1": math.pi / 2,
+              "phi1": 0.3, "theta2": math.pi / 4}
+DEGENERATE = {"R": 1 / math.sqrt(2), "beta": 0.0}
+MC = {"power-method": "mc", "mc-samples": 200, "seed": 3}
+
+
+def block_edge_cases():
+    """(observable, points, flags): the sizes where blocks begin and end,
+    16 384 points where amplitude() changes its operand order, tau_start > 0,
+    and each amplitude and power route."""
+    for obs in scenario.OBSERVABLES:
+        rows = scenario._CSV_CHUNK // len(scenario.COLUMNS[obs])
+        yield obs, 1, {"tau-min": 1.25, "tau-max": 1.25}
+        for n in (2, rows - 1, rows, rows + 1, 2 * rows + 1, 16384, 16385):
+            yield obs, n, {}
+        yield obs, 2 * rows + 1, {"tau-min": 1.25}
+    for n in (2, 4097, 8193):
+        yield "amplitude", n, {"method": "oracle", "tau-max": 20.0}
+        yield "amplitude", n, DEGENERATE
+    yield "power", 8193, {"method": "oracle", "tau-min": 0.5, "tau-max": 20.0}
+    yield "density", 3277, DEGENERATE
+    for n in (2, 8193, 16385):
+        yield "power", n, MC
+
+
+def scan_argv(flags):
+    return ["scan"] + [f"--{key}={as_text(key, value)}" for key, value in flags.items()]
+
+
+class TestBlockedScan:
+    """A scan runs one block of rows at a time; its values and CSV bytes
+    must be those of the whole-grid computation."""
+
+    @pytest.mark.parametrize("obs,n,flags", list(block_edge_cases()),
+                             ids=lambda v: ",".join(f"{k}={v[k]:.6g}" if isinstance(v[k], float)
+                                                    else f"{k}={v[k]}" for k in v)
+                             if isinstance(v, dict) else str(v))
+    def test_blocks_equal_whole_grid(self, tmp_path, capsysbinary, obs, n, flags):
+        flags = {**SCAN_FLAGS, **flags, "observable": obs, "tau-steps": n}
+        config = parse_config(flags)
+        want = reference_run_scan(config)
+        got = run_scan(config)
+        assert got.columns == want.columns
+        assert got.taus.tobytes() == want.taus.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        text = reference_format_csv(want).encode()
+        path = tmp_path / "scan.csv"
+        assert main(scan_argv({**flags, "out": str(path)})) == 0
+        assert path.read_bytes() == text
+        assert main(scan_argv(flags)) == 0
+        assert capsysbinary.readouterr().out == text
+
+
+def traced_peak(argv) -> int:
+    """Peak traced memory of one cli.main call, which must succeed."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScanMemoryAndFailures:
+    def test_million_point_scan_peaks_at_a_few_blocks(self, tmp_path):
+        # Holding the whole grid's columns took over 100 MB; one block of
+        # density rows and its text take about 3 MB.
+        path = tmp_path / "density.csv"
+        flags = {**SCAN_FLAGS, "observable": "density", "out": str(path)}
+        assert main(scan_argv({**flags, "tau-steps": 10})) == 0  # format17's tables
+        try:
+            peak = traced_peak(scan_argv({**flags, "tau-steps": 1_000_000}))
+            assert path.stat().st_size > 80e6
+        finally:
+            path.unlink(missing_ok=True)
+        assert peak < 8e6
+
+    def test_oracle_scan_peak_does_not_grow(self, tmp_path):
+        path = tmp_path / "oracle.csv"
+        flags = {**SCAN_FLAGS, "observable": "amplitude", "method": "oracle", "out": str(path)}
+        assert main(scan_argv({**flags, "tau-steps": 10})) == 0  # format17's tables
+        try:
+            peaks = [traced_peak(scan_argv({**flags, "tau-steps": n})) for n in (100_000, 400_000)]
+        finally:
+            path.unlink(missing_ok=True)
+        assert abs(peaks[1] - peaks[0]) < 1e6
+
+    @pytest.fixture
+    def third_block_fails(self, monkeypatch):
+        """scenario.amplitude overflows on its third call: the amplitude
+        scan below has five blocks."""
+        real, calls = scenario.amplitude, itertools.count()
+
+        def failing(*args, **kwargs):
+            out = real(*args, **kwargs)
+            return out * np.inf if next(calls) == 2 else out
+
+        monkeypatch.setattr(scenario, "amplitude", failing)
+        rows = scenario._CSV_CHUNK // 4
+        yield {**SCAN_FLAGS, "observable": "amplitude", "tau-steps": 5 * rows}, rows
+        assert next(calls) == 3  # the scan stopped at the failing block
+
+    @pytest.mark.parametrize("before", [None, b"tau,amplitude_re\n0,1\n"])
+    def test_failed_scan_leaves_out_as_it_was(self, tmp_path, capsys, third_block_fails, before):
+        flags, _ = third_block_fails
+        path = tmp_path / "scan.csv"
+        if before is not None:
+            path.write_bytes(before)
+        assert main(scan_argv({**flags, "out": str(path)})) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numeric failure: the survival amplitude overflowed")
+        assert os.listdir(tmp_path) == ([] if before is None else ["scan.csv"])
+        assert before is None or path.read_bytes() == before
+
+    def test_failed_scan_on_stdout_keeps_the_blocks_before(self, capsys, third_block_fails):
+        flags, rows = third_block_fails
+        assert main(scan_argv(flags)) == 2
+        out, err = capsys.readouterr()
+        assert out.count("\n") == 1 + 2 * rows  # the header and two blocks
+        assert err.startswith("numeric failure: the survival amplitude overflowed")
 
 
 class TestFigurePresets:
@@ -550,7 +731,7 @@ class TestCliMain:
         header = paths[0].read_text(encoding="utf-8").splitlines()[0]
         assert header == "tau,pop_ee,pop_eg,pop_ge,pop_gg"
 
-    def test_io_error(self, tmp_path):
+    def test_io_error(self, tmp_path, capsys):
         code = main(
             [
                 "scan", "--R", "0.1", "--omega-ratio", "1.5e9",
@@ -559,6 +740,9 @@ class TestCliMain:
             ]
         )
         assert code == 3
+        # the message names the path asked for, not the temporary file
+        err, path = capsys.readouterr().err, tmp_path / "missing_dir" / "o.csv"
+        assert err.startswith("io error:") and err.endswith(f"'{path}'\n")
 
 
 class TestCliInputErrors:
@@ -611,13 +795,20 @@ class TestCliInputErrors:
         def no_work(*args):
             raise AssertionError("no amplitude or Monte Carlo work may run")
 
-        monkeypatch.setattr(scenario, "entangling_power_mc_grid", no_work)
-        monkeypatch.setattr(scenario, "build_amplitude_model", no_work)
+        for name in ("mc_draws", "mc_estimates", "build_amplitude_model", "amplitude",
+                     "ode_oracle_walk"):
+            monkeypatch.setattr(scenario, name, no_work)
         argv = ["scan", "--R", "0.1", "--omega-ratio", "1.5e9", "--observable", "power",
                 "--power-method", "mc", "--mc-samples", "3000000",
                 "--tau-min", "1", "--tau-max", tau_max, "--tau-steps", steps]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: tau values must be strictly increasing\n"
+
+    def test_repeat_across_a_block_boundary_fails_before_any_work(self, capsys, monkeypatch):
+        # each block rises strictly; only the first tau of the second repeats
+        blocks = [np.array([1.0, 1.5]), np.array([1.5, 2.0])]
+        monkeypatch.setattr(scenario.TimeGrid, "tau_blocks", lambda grid, rows: iter(blocks))
+        self.test_repeated_taus_fail_before_any_work(capsys, monkeypatch, "2", "4")
 
     def test_removed_quad_flags_are_one_line_usage_errors(self, capsys, tmp_path):
         # --quad-nodes and --quad-tol tuned the quadrature that the closed
@@ -631,7 +822,8 @@ class TestCliInputErrors:
         assert capsys.readouterr().err == "error: line 1: unknown key 'quad-nodes'\n"
 
     def test_non_finite_amplitude_is_numeric_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(scenario, "amplitude", lambda model, t: np.full(len(t), np.nan + 0j))
+        monkeypatch.setattr(scenario, "amplitude",
+                            lambda model, t, grid_size: np.full(len(t), np.nan + 0j))
         assert main(self.BASE) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numeric failure:")
@@ -647,19 +839,19 @@ class TestCliInputErrors:
 
     @pytest.mark.parametrize("error", QubitSwapError.__subclasses__(), ids=lambda e: e.__name__)
     def test_every_package_error_is_one_line(self, capsys, monkeypatch, error):
-        def failing(config):
+        def failing(config, path):
             raise error("boom")
 
-        monkeypatch.setattr(cli, "run_scan", failing)
+        monkeypatch.setattr(cli, "emit_csv", failing)
         usage = error in (ParseError, RangeError, UnknownFigure)
         assert main(self.BASE) == (1 if usage else 2)
         assert capsys.readouterr().err == ("error: boom\n" if usage else "numeric failure: boom\n")
 
     def test_unexpected_exception_is_one_line(self, capsys, monkeypatch):
-        def broken(config):
+        def broken(config, path):
             raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
 
-        monkeypatch.setattr(cli, "run_scan", broken)
+        monkeypatch.setattr(cli, "emit_csv", broken)
         assert main(self.BASE) == 2
         err = capsys.readouterr().err
         assert err == "internal error: LinAlgError: Array must not contain infs or NaNs\n"
@@ -700,6 +892,17 @@ class TestValidateCommand:
         assert main(["validate"]) == 2
         expected = [f"PASS {n}" for n in CHECK_NAMES]
         expected[CHECK_NAMES.index(name)] = f"FAIL {name}: worst {worst} exceeds bound {bound}"
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_raising_check_fails_and_the_rest_run(self, capsys, monkeypatch):
+        def raising(rho):
+            raise ZeroNorm("projection has vanishing success probability")
+
+        monkeypatch.setattr(validate, "concurrence_wootters", raising)
+        assert main(["validate"]) == 2
+        expected = [f"PASS {n}" for n in CHECK_NAMES]
+        expected[CHECK_NAMES.index("concurrence-oracle")] = (
+            "FAIL concurrence-oracle: ZeroNorm: projection has vanishing success probability")
         assert capsys.readouterr().out.splitlines() == expected
 
     def test_tightest_condition(self):
