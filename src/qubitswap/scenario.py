@@ -3,9 +3,9 @@ and one-command presets for the published parameter sets."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
+import shutil
 import sys
 from collections import defaultdict
 from collections.abc import Iterator
@@ -264,36 +264,31 @@ def format_csv(series: TimeSeries) -> str:
     return "".join(chunk.decode() for chunk in chunks)
 
 
-def emit_csv(source, path) -> None:
-    """Write a TimeSeries, or a ScenarioConfig's scan block by block, as CSV
-    (LF endings, 17 significant digits, byte-identical across runs for the
-    same config and seed) to path, or to stdout if path is ``"-"``.
-
-    Two blocks are computed before path is opened, so a scan of one block
-    is complete and written in place, like a TimeSeries, a symlink, a device
-    or a pipe.  A longer scan goes to a sibling temporary file that replaces
-    path once every block is written, so a failed scan leaves path as it
-    was.  On stdout the blocks before a failure are already written."""
-    if isinstance(source, ScenarioConfig):
-        columns, blocks = COLUMNS[source.observable], scan_blocks(source)
-    else:
-        columns, blocks = source.columns, iter([(source.taus, source.values)])
-    head = list(itertools.islice(blocks, 2))
-    complete = len(head) < 2
-    chunks = _csv_chunks(columns, itertools.chain(head, blocks))
-    del head  # so that each block is freed once written
+def emit_csv(config: ScenarioConfig, path) -> None:
+    """Write config's scan block by block as CSV (LF endings, 17 significant
+    digits, byte-identical across runs for the same config and seed) to path,
+    or to stdout if path is ``"-"``.  A file, or a link's target, is written
+    beside it and replaced, keeping its mode, once every block is written; a
+    device, a pipe or a file in a directory that cannot be written is written
+    in place.  On stdout the blocks before a failure are already written."""
+    chunks = _csv_chunks(COLUMNS[config.observable], scan_blocks(config))
     if path == "-":
         for chunk in chunks:
             sys.stdout.write(chunk.decode())
         return
-    in_place = complete or os.path.lexists(path) and (
-        os.path.islink(path) or not os.path.isfile(path))
-    tmp = path if in_place else f"{os.fspath(path)}.{os.getpid()}.tmp"
+    target = os.path.realpath(path)
+    exists, dir_writable = os.path.exists(target), os.access(os.path.dirname(target), os.W_OK)
+    in_place = exists and not (os.path.isfile(target) and dir_writable)
+    tmp = target if in_place else f"{target}.{os.getpid()}.tmp"
     try:
+        if exists and not in_place:
+            open(target, "ab").close()  # a read-only file fails here, as in place
         with open(tmp, "wb") as fh:
             fh.writelines(chunks)
         if not in_place:
-            os.replace(tmp, path)
+            if exists:
+                shutil.copymode(target, tmp)
+            os.replace(tmp, target)
     except BaseException as exc:
         if not in_place and os.path.lexists(tmp):
             os.unlink(tmp)

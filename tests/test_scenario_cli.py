@@ -3,8 +3,10 @@ import json
 import math
 import os
 import platform
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -256,9 +258,8 @@ class TestRunScan:
 class TestEmitCsv:
     def test_two_point_series(self, tmp_path):
         config = parse_config({**FIG2_FLAGS, "tau-max": 1.0, "tau-steps": 2})
-        series = run_scan(config)
         path = tmp_path / "out.csv"
-        emit_csv(series, path)
+        emit_csv(config, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
         assert lines[0] == "tau,entropy_avg"
@@ -281,11 +282,17 @@ class TestEmitCsv:
     def test_lf_and_precision(self, tmp_path):
         config = parse_config({**FIG2_FLAGS, "tau-max": 1.0, "tau-steps": 3})
         path = tmp_path / "out.csv"
-        emit_csv(run_scan(config), path)
+        emit_csv(config, path)
         raw = path.read_bytes()
         assert b"\r" not in raw
         # a third of 1.0 printed at 17 significant digits
         assert b"0.5" in raw
+
+
+def write_chunks(series, path):
+    """The series written as emit_csv writes a scan's blocks, chunk by chunk."""
+    with open(path, "wb") as fh:
+        fh.writelines(scenario._csv_chunks(series.columns, [(series.taus, series.values)]))
 
 
 def reference_format_csv(series):
@@ -390,7 +397,7 @@ class TestStreamedCsv:
         series = self.edge_series()
         want = reference_format_csv(series).encode()
         path = tmp_path / "edges.csv"
-        emit_csv(series, path)
+        write_chunks(series, path)
         assert path.read_bytes() == want
         # the same rows as a density scan's blocks, through the CLI
         density = TimeSeries(scenario.COLUMNS["density"], series.taus, series.values)
@@ -411,10 +418,10 @@ class TestStreamedCsv:
         assert capsysbinary.readouterr().out == want
 
     def test_one_row_series(self, tmp_path):
-        series = run_scan(figure_preset("fig6")[1])
+        config = figure_preset("fig6")[1]
         path = tmp_path / "fig6.csv"
-        emit_csv(series, path)
-        assert path.read_bytes() == reference_format_csv(series).encode()
+        emit_csv(config, path)
+        assert path.read_bytes() == reference_format_csv(run_scan(config)).encode()
 
     def test_peak_memory_is_a_few_chunks(self, tmp_path):
         # About 16 MB of CSV.  Formatting one chunk takes about 4 MB of
@@ -423,11 +430,11 @@ class TestStreamedCsv:
         rng = np.random.default_rng(3)
         series = TimeSeries(("tau", "a", "b", "c"), np.linspace(0.0, 50.0, n),
                             rng.uniform(-1.0, 1.0, (n, 3)))
-        emit_csv(series_of([1.0], 1), tmp_path / "warm.csv")  # format17's tables
+        write_chunks(series_of([1.0], 1), tmp_path / "warm.csv")  # format17's tables
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            emit_csv(series, tmp_path / "big.csv")
+            write_chunks(series, tmp_path / "big.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -594,18 +601,25 @@ class TestScanMemoryAndFailures:
         yield {**SCAN_FLAGS, "observable": "amplitude", "tau-steps": 5 * rows}, rows
         assert next(calls) == 3  # the scan stopped at the failing block
 
+    @pytest.mark.parametrize("link", [False, True])
     @pytest.mark.parametrize("before", [None, b"tau,amplitude_re\n0,1\n"])
-    def test_failed_scan_leaves_out_as_it_was(self, tmp_path, capsys, third_block_fails, before):
+    def test_failed_scan_leaves_out_as_it_was(self, tmp_path, capsys, third_block_fails,
+                                              before, link):
         flags, _ = third_block_fails
         path = tmp_path / "scan.csv"
+        target = tmp_path / "target.csv" if link else path
+        if link:
+            path.symlink_to(target)
         if before is not None:
-            path.write_bytes(before)
+            target.write_bytes(before)
+        listing = sorted(os.listdir(tmp_path))
         assert main(scan_argv({**flags, "out": str(path)})) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("numeric failure: the survival amplitude overflowed")
-        assert os.listdir(tmp_path) == ([] if before is None else ["scan.csv"])
-        assert before is None or path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == listing
+        assert path.is_symlink() == link
+        assert before is None or target.read_bytes() == before
 
     def test_failed_scan_on_stdout_keeps_the_blocks_before(self, capsys, third_block_fails):
         flags, rows = third_block_fails
@@ -613,6 +627,58 @@ class TestScanMemoryAndFailures:
         out, err = capsys.readouterr()
         assert out.count("\n") == 1 + 2 * rows  # the header and two blocks
         assert err.startswith("numeric failure: the survival amplitude overflowed")
+
+    THREE_BLOCKS = {**SCAN_FLAGS, "observable": "amplitude",
+                    "tau-steps": 3 * (scenario._CSV_CHUNK // 4)}
+
+    def test_scan_replaces_a_file_or_a_links_target_keeping_its_mode(self, tmp_path, capsysbinary):
+        assert main(scan_argv(self.THREE_BLOCKS)) == 0
+        want = capsysbinary.readouterr().out
+        target, link = tmp_path / "target.csv", tmp_path / "scan.csv"
+        link.symlink_to(target)
+        for path in (target, link):
+            target.write_bytes(b"old\n")
+            target.chmod(0o640)
+            assert main(scan_argv({**self.THREE_BLOCKS, "out": str(path)})) == 0
+            assert target.read_bytes() == want
+            assert stat.S_IMODE(target.stat().st_mode) == 0o640
+            assert link.is_symlink()
+            assert sorted(os.listdir(tmp_path)) == ["scan.csv", "target.csv"]
+
+    def test_read_only_file_fails_as_an_in_place_write_would(self, tmp_path, capsys):
+        path = tmp_path / "scan.csv"
+        path.write_bytes(b"old\n")
+        path.chmod(0o444)
+        writable = os.access(path, os.W_OK)  # root may write it anyway
+        assert main(scan_argv({**self.THREE_BLOCKS, "out": str(path)})) == (0 if writable else 3)
+        assert writable or path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["scan.csv"]
+
+    def test_file_in_a_read_only_directory_is_written_in_place(self, tmp_path, capsysbinary,
+                                                               monkeypatch):
+        assert main(scan_argv(self.THREE_BLOCKS)) == 0
+        want = capsysbinary.readouterr().out
+        path = tmp_path / "scan.csv"
+        path.write_bytes(b"old\n")
+        inode = path.stat().st_ino
+        directory, access = os.path.realpath(tmp_path), os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: p != directory and access(p, mode))
+        assert main(scan_argv({**self.THREE_BLOCKS, "out": str(path)})) == 0
+        assert path.read_bytes() == want
+        assert path.stat().st_ino == inode
+
+    def test_pipe_is_written_in_place(self, tmp_path, capsysbinary):
+        assert main(scan_argv(self.THREE_BLOCKS)) == 0
+        want = capsysbinary.readouterr().out
+        fifo = tmp_path / "scan.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(scan_argv({**self.THREE_BLOCKS, "out": str(fifo)})) == 0
+        reader.join(10)
+        assert got == [want]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 class TestFigurePresets:
