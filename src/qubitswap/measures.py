@@ -7,7 +7,8 @@ numpy array over a time grid, and check a whole array at once.  A scalar E
 gives a scalar, an array gives an array of the same shape.  Each formula is
 written once; only the primitives below choose between the scalar and the
 array operation, and the two agree bit for bit, so an array element equals
-the scalar result for the same E.
+the scalar result for the same E.  The exception is density_populations: its
+array product is taken in place, which can move the last bits (a few ulp).
 """
 
 from __future__ import annotations

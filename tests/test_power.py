@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -265,17 +266,40 @@ def mc_half_angle_reference(p: float, spec: MonteCarloSpec) -> tuple[float, floa
     return math.ldexp(total, -k) / n, math.ldexp(math.sqrt(sq_dev / (n - 1)), -k) / math.sqrt(n)
 
 
-class FixedDraws:
-    """Stands in for numpy's Generator: hands out the given u = cos(theta)
-    rows, then the given phi rows, one (2, n) block per uniform() call."""
+def mc_draws_reference(spec: MonteCarloSpec) -> np.ndarray:
+    """power.mc_draws as one draw of every sample: u1 and u2 in one
+    uniform() call, then phi1 and phi2 in another, and the ratios r over the
+    whole arrays."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n_samples
+    u1, u2 = rng.uniform(-1, 1, (2, n))
+    ph1, ph2 = rng.uniform(0, 2 * math.pi, (2, n))
+    c1, s1 = np.sqrt((1 + u1) / 2), np.sqrt((1 - u1) / 2)
+    c2, s2 = np.sqrt((1 + u2) / 2), np.sqrt((1 - u2) / 2)
+    a, b = s1 * c2, s2 * c1
+    y_sq = (a - b) ** 2 + 4 * a * b * np.sin((ph1 - ph2) / 2) ** 2
+    two_c1c2_sq = 2 * (c1 * c2) ** 2
+    r = np.full(n, math.inf)
+    np.divide(y_sq, two_c1c2_sq, out=r, where=two_c1c2_sq > 0)
+    return r
 
-    def __init__(self, u1, u2, ph1, ph2):
-        self.blocks = [np.array([u1, u2], dtype=float), np.array([ph1, ph2], dtype=float)]
+
+class FixedDraws:
+    """Stands in for one of the four numpy Generators that mc_draws reads
+    (power._streams): hands out the given values in order, as many per
+    uniform() call as it asks for."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
 
     def uniform(self, low, high, size):
-        block = self.blocks.pop(0)
-        assert block.shape == size and np.all((low <= block) & (block <= high))
+        block, self.values = self.values[:size], self.values[size:]
+        assert block.shape == (size,) and np.all((low <= block) & (block <= high))
         return block
+
+
+def fix_draws(monkeypatch, u1, u2, ph1, ph2):
+    monkeypatch.setattr(power, "_streams", lambda spec: [FixedDraws(v) for v in (u1, u2, ph1, ph2)])
 
 
 class TestSpecs:
@@ -500,7 +524,7 @@ class TestMonteCarlo:
         ([-1], [0.4], [1.0], [2.0], 0),
     ])
     def test_degenerate_samples(self, monkeypatch, u1, u2, ph1, ph2, ridge):
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraws(u1, u2, ph1, ph2))
+        fix_draws(monkeypatch, u1, u2, ph1, ph2)
         n = len(u1)
         ps = np.array([0.0, 1e-300, 1e-12, 0.5, 1.0])
         means, stderrs = entangling_power_mc_grid(ps, MonteCarloSpec(n_samples=n))
@@ -515,10 +539,37 @@ class TestMonteCarlo:
         # u1 = u2 = 0 gives A = 1/4 and |Y|^2 = sin^2(d/2), so r = 2 sin^2(d/2)
         # and p = 1 makes the concurrence 1/(1 + r) = value in every sample
         d = 2 * math.asin(math.sqrt((1 / value - 1) / 2))
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: FixedDraws([0.0] * 3, [0.0] * 3, [d] * 3, [0.0] * 3))
+        fix_draws(monkeypatch, [0.0] * 3, [0.0] * 3, [d] * 3, [0.0] * 3)
         mean, stderr = entangling_power_mc(1.0, MonteCarloSpec(n_samples=3))
         assert mean == pytest.approx(value, rel=1e-14) and 0 <= stderr < 1e-8
+
+    def test_degenerate_samples_across_block_edges(self, monkeypatch):
+        # the first case of test_degenerate_samples, drawn two samples a block
+        monkeypatch.setattr(power, "_DRAW_BLOCK", 2)
+        self.test_degenerate_samples(
+            monkeypatch, [-1, 0.3, -1, 1, -1, 1, 0.2], [0.3, -1, -1, -1, 1, 1, 0.2],
+            [0.1, 2, 1, 0, 3, 0.5, 1.7], [2, 0.1, 1, 3, 0, 0.5, 1.7], 2)
+
+    @pytest.mark.parametrize("seed", [0, 4, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, power._DRAW_BLOCK - 1, power._DRAW_BLOCK,
+                                   power._DRAW_BLOCK + 1, 2 * power._DRAW_BLOCK + 1,
+                                   200_000, 1_000_003])
+    def test_blocked_draws_equal_one_shot_draw(self, seed, n):
+        # each block's slice of the four advanced streams is the slice of
+        # the one seeded draw, and every operation on it is elementwise
+        spec = MonteCarloSpec(n_samples=n, seed=seed)
+        assert power.mc_draws(spec).tobytes() == mc_draws_reference(spec).tobytes()
+
+    def test_draws_peak_is_r_and_one_block(self):
+        # 8 MB of r and about 2 MB of one block's temporaries; drawing all
+        # samples at once peaked at about 112 MB
+        tracemalloc.start()
+        try:
+            power.mc_draws(MonteCarloSpec(n_samples=1_000_000, seed=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     @pytest.mark.parametrize("p", [1e-3, 0.1, 0.5, 1.0])
     def test_agrees_with_quadrature(self, p):
