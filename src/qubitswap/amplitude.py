@@ -3,10 +3,10 @@
 The qubit couples to a Lorentzian continuum; its excited-state amplitude
 E(tau) (tau = time in units of the inverse cavity linewidth) obeys a
 memory-kernel equation whose Laplace transform reduces to a monic complex
-cubic.  The amplitude is then a sum of three exponentials.  An independent
-fixed-step ODE integrator over the exactly equivalent three-dimensional
-linear system serves as a cross-check and as the fallback when the cubic
-roots are (near-)degenerate.
+cubic.  The amplitude is then a sum of three exponentials.  The exact
+propagator exp(M tau) of the equivalent three-dimensional linear system is
+the independent cross-check and the fallback when the cubic roots are
+(near-)degenerate.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateModel, RangeError, StepTooLarge
+from .errors import DegenerateModel, RangeError
 
 # Classical-motion regime: velocity ratios at or above this are rejected.
 BETA_MAX = 1e-3
@@ -147,16 +147,17 @@ def cubic_coefficients(params: ModelParams) -> CubicCoefficients:
 def solve_cubic(c: CubicCoefficients) -> list[complex]:
     """All three roots of the monic cubic, sorted by (Re, Im) ascending.
 
-    Companion-matrix eigenvalues polished with one Newton step; the residual
-    bound |p(r)| <= 1e-9 * max(1, |r|^3) is asserted by the test suite rather
-    than here.
+    Companion-matrix eigenvalues polished with one Newton step, unless the
+    step exceeds 1e-8 of the root's scale: at a (near-)double root p' is
+    about 0 and the step would throw the root off.  The residual bound
+    |p(r)| <= 1e-9 * max(1, |r|^3) is asserted by the tests, not here.
     """
     roots = np.roots([1.0, c.a2, c.a1, c.a0]).astype(complex)
     polished = []
     for r in roots:
         p = ((r + c.a2) * r + c.a1) * r + c.a0
         dp = (3 * r + 2 * c.a2) * r + c.a1
-        if dp != 0:
+        if dp != 0 and abs(p) <= 1e-8 * abs(dp) * max(1.0, abs(r)):
             r = r - p / dp
         polished.append(complex(r))
     polished.sort(key=lambda z: (z.real, z.imag))
@@ -178,7 +179,8 @@ def build_amplitude_model(params: ModelParams) -> AmplitudeModel:
 
     When two roots are closer than DEGENERACY_GAP (relative to the root
     scale) the partial-fraction weights blow up; the model is flagged and
-    evaluation must go through ``amplitude_ode_oracle`` instead.
+    evaluation must go through the propagator, ``amplitude_ode_oracle`` or
+    ``ode_oracle_walk``, instead.
     """
     c = cubic_coefficients(params)
     q = solve_cubic(c)
@@ -254,80 +256,51 @@ def closed_form_beta0(R: float, tau: float) -> complex:
     )
 
 
-def _rk4_increment(m: np.ndarray, span: float, n_steps: int) -> np.ndarray:
-    """T^n - I for the RK4 one-step matrix T of ``s' = m s``, step span/n."""
-    a = (span / n_steps) * m
+def _exp_increment(m: np.ndarray, span: float) -> np.ndarray:
+    """exp(span m) - I by scaling and squaring (Moler & Van Loan, SIAM Rev.
+    45, 2003): the degree-17 Taylor series of A = span m / 2^s, with s chosen
+    so that ||A||_1 <= 1/2, then s squarings.  The powers are kept in
+    increment form, D = exp(A) - I, squared as (I + D)^2 - I = 2D + D^2: for
+    a small span the identity in I + D would absorb D's low bits."""
+    s = max(0, math.frexp(span * np.abs(m).sum(axis=0).max())[1] + 1)
+    a = math.ldexp(span, -s) * m
     eye = np.eye(3)
-    d = a @ (eye + a @ (eye / 2 + a @ (eye / 6 + a / 24)))  # T - I
-    s = np.zeros_like(d)
-    while True:
-        if n_steps & 1:
-            s = s + d + s @ d  # (I + s)(I + d) - I
-        n_steps >>= 1
-        if not n_steps:
-            return s
-        d = 2 * d + d @ d  # (I + d)^2 - I
+    p = eye
+    for k in range(17, 1, -1):  # Horner: I + A/2 (I + A/3 (... (I + A/17)))
+        p = eye + a @ p / k
+    d = a @ p
+    for _ in range(s):
+        d = 2 * d + d @ d
+    return d
 
 
-def amplitude_ode_oracle(params: ModelParams, grid: TimeGrid, step: float = 1e-3) -> np.ndarray:
-    """E sampled on the grid by the ODE route of ode_oracle_walk."""
-    return ode_oracle_walk(params, step)(grid.taus())
+def amplitude_ode_oracle(params: ModelParams, grid: TimeGrid) -> np.ndarray:
+    """E sampled on the grid by the propagator of ode_oracle_walk."""
+    return ode_oracle_walk(params)(grid.taus())
 
 
-def ode_oracle_walk(params: ModelParams, step: float = 1e-3) -> Callable[[np.ndarray], np.ndarray]:
-    """Integrate the memory-kernel equation as an equivalent local ODE over
-    a grid that comes in blocks: each call takes the next block's taus and
-    returns E there, carrying the state vector, the last tau and the span
-    increments on, so the blocks give the bits of one call on the whole grid.
+def ode_oracle_walk(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
+    """E from the exact propagator of the memory-kernel equation on a grid
+    that comes in blocks: each call takes the next block's taus and returns
+    E there, carrying the state, the last tau and the span increments on, so
+    the blocks give the bits of one call on the whole grid.
 
-    Splitting the exponential-cosh kernel into its two exponentials turns the
-    integro-differential equation into the constant-coefficient linear system
+    Splitting the exponential-cosh kernel into its two exponentials gives the
+    linear system dE/dtau = -(R^2/4)(z+ + z-), dz+-/dtau = E - y+- z+-, with
+    E(0)=1, z(0)=0.  In the balanced state s = (E, g z+, g z-), g = R/2, it
+    is s' = M s with
 
-        dE/dtau  = -(R^2/4) (z+ + z-)
-        dz+-/dtau =  E - y+- z+-
+        M = [[0, -g, -g], [g, -y+, 0], [g, 0, -y-]],
 
-    with E(0)=1, z(0)=0, i.e. s' = M s for s = (E, z+, z-) and
-
-        M = [[0, -k, -k], [1, -y+, 0], [1, 0, -y-]],   k = R^2/4.
-
-    Classical RK4 with fixed step; sub-steps are shrunk so every grid point
-    is hit exactly: a span between grid points takes n = ceil(span/step)
-    steps of h = span/n.
-
-    On a linear system one RK4 step is a matrix.  With A = hM the stages are
-    k1 = M s, k2 = M(s + h k1/2), k3 = M(s + h k2/2), k4 = M(s + h k3), so
-
-        s + h (k1 + 2 k2 + 2 k3 + k4)/6 = T s,
-        T = I + A + A^2/2 + A^3/6 + A^4/24,
-
-    the degree-4 Taylor polynomial of exp(A) (Moler & Van Loan, SIAM Rev. 45,
-    2003).  n steps are T^n, formed by binary powering once per distinct span
-    (a linspace grid has only a few), and the grid is then walked with one
-    3x3 product per point.  These are the steps a per-step RK4 loop takes
-    (the tests keep one as the reference); only the rounding differs.  The
-    powers are kept in increment form, D = T - I, squared as
-    (I + D)^2 - I = 2D + D^2 and applied as s + D s: A is about
-    step*|M| ~ 1e-3, so in I + D the identity would absorb D's low bits, and
-    a plain T^n drifts from the loop by up to about 2e-12 where the
-    increment form stays within about 1e-14.
-
-    The guard bounds h times the fastest rate of M, taken from the
-    parameters so that this route stays independent of the cubic's roots:
-    the decay rates |y+-| and the vacuum Rabi rate R/sqrt(2), which the
-    oscillating roots approach for large R.
+    whose Hermitian part diag(0, -Re y+, -Re y-) is negative semidefinite, so
+    exp(M tau) is a contraction.  Each span between grid points advances s by
+    exp(M span), exactly and with no step size; its increment is formed once
+    per distinct span (a linspace grid has only a few).  The route reads the
+    parameters, not the cubic's roots, so it is independent of the analytic
+    route and holds where those roots coincide.
     """
-    if step <= 0:
-        raise RangeError("step must be positive")
-    yp, ym = params.y_plus, params.y_minus
-    rate = max(abs(yp), abs(ym), params.R / math.sqrt(2))
-    if step * rate > 0.1:
-        raise StepTooLarge(
-            f"step {step} too large for rate {rate:.3g}; "
-            f"need step * max(|y+|, |y-|, R/sqrt(2)) <= 0.1"
-        )
-
-    k = params.R**2 / 4
-    m = np.array([[0, -k, -k], [1, -yp, 0], [1, 0, -ym]], dtype=complex)
+    g = params.R / 2
+    m = np.array([[0, -g, -g], [g, -params.y_plus, 0], [g, 0, -params.y_minus]], dtype=complex)
     increments: dict[float, np.ndarray] = {}
     state = np.array([1, 0, 0], dtype=complex)
     last = 0.0
@@ -336,7 +309,7 @@ def ode_oracle_walk(params: ModelParams, step: float = 1e-3) -> Callable[[np.nda
         nonlocal state, last
         spans = np.diff(taus, prepend=last)
         for span in set(spans[spans > 0].tolist()) - increments.keys():
-            increments[span] = _rk4_increment(m, span, max(1, math.ceil(span / step - 1e-12)))
+            increments[span] = _exp_increment(m, span)
         out = np.empty(len(taus), dtype=complex)
         for i, span in enumerate(spans.tolist()):
             if span > 0:

@@ -11,11 +11,8 @@ class RangeError(QubitSwapError):
 
 class DegenerateModel(QubitSwapError):
     """The cubic has (near-)repeated roots; the exponential-sum form is
-    ill-conditioned and callers must fall back to the ODE integrator."""
-
-
-class StepTooLarge(QubitSwapError):
-    """Requested fixed step violates the explicit-integrator stability guard."""
+    ill-conditioned and callers must fall back to the matrix-exponential
+    propagator."""
 
 
 class ZeroNorm(QubitSwapError):

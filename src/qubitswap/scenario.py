@@ -204,7 +204,7 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     then observable on that block only, so memory holds one block whatever
     the grid size.  The blocks are the bits of one pass over the whole grid:
     the taus are linspace's, amplitude() takes the grid's operand order, the
-    ODE walk carries its state and the Monte Carlo draws are made once."""
+    propagator walk carries its state and the Monte Carlo draws are made once."""
     grid, obs = config.grid, config.observable
     rows = _CSV_CHUNK // len(COLUMNS[obs])
     last = -math.inf

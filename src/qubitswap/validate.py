@@ -80,8 +80,8 @@ def check_ode_oracle_agreement():
     errs = []
     for params in WEAK + STRONG:
         analytic = amplitude(build_amplitude_model(params), grid.taus())
-        errs.append(np.abs(analytic - amplitude_ode_oracle(params, grid, step=1e-3)))
-    return np.max(errs), 1e-6
+        errs.append(np.abs(analytic - amplitude_ode_oracle(params, grid)))
+    return np.max(errs), 1e-10
 
 
 def check_contractivity_and_stability():

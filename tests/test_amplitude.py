@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qubitswap.amplitude import (
     ModelParams,
@@ -16,7 +18,7 @@ from qubitswap.amplitude import (
     cubic_coefficients,
     solve_cubic,
 )
-from qubitswap.errors import DegenerateModel, RangeError, StepTooLarge
+from qubitswap.errors import DegenerateModel, RangeError
 from qubitswap.scenario import STRONG, WEAK
 
 
@@ -25,9 +27,10 @@ def residual(c, r):
 
 
 def rk4_loop_reference(params, grid, step=1e-3):
-    """The oracle's classical RK4, one step at a time: each span between grid
-    points takes ceil(span/step) equal steps.  amplitude_ode_oracle applies
-    the same steps as powers of the one-step matrix."""
+    """Classical RK4 on the unbalanced system s = (E, z+, z-), one step at a
+    time: each span between grid points takes ceil(span/step) equal steps.
+    The third route, independent of the cubic's roots and of the propagator;
+    its error is about 1e-9 on the paper sets."""
     yp, ym = params.y_plus, params.y_minus
     k = params.R**2 / 4
 
@@ -53,6 +56,13 @@ def rk4_loop_reference(params, grid, step=1e-3):
                 zm += h / 6 * (d1[2] + 2 * d2[2] + 2 * d3[2] + d4[2])
         out.append(e)
     return np.array(out)
+
+
+def exact_reference(params, grid):
+    """closed_form_beta0 at beta = 0, else the analytic route."""
+    if params.beta == 0:
+        return np.array([closed_form_beta0(params.R, t) for t in grid.taus()])
+    return amplitude(build_amplitude_model(params), grid.taus())
 
 
 class TestModelParams:
@@ -184,6 +194,17 @@ class TestAmplitudeModel:
         with pytest.raises(DegenerateModel):
             amplitude(model, 1.0)
 
+    @pytest.mark.parametrize("R", [1.5223437009626503e-4, 1.1845575740339161e-4])
+    def test_double_root_at_small_r_is_flagged(self, R):
+        # the cubic is (q + 1)(q^2 + q + R^2/2): two roots about 1e-8 apart.
+        # An unguarded Newton polish threw one of them 0.09 or 0.2 away, so
+        # the model passed as regular and its amplitude was off by 0.1 and 0.18.
+        params = ModelParams(R=R, beta=0.0, Omega=1.5e9)
+        assert build_amplitude_model(params).degenerate
+        grid = TimeGrid(0.0, 50.0, 101)
+        out = amplitude_ode_oracle(params, grid)
+        assert np.max(np.abs(out - exact_reference(params, grid))) < 1e-12
+
     def test_initial_value(self):
         model = build_amplitude_model(ModelParams(R=10.0, beta=1e-8, Omega=1.5e9))
         assert amplitude(model, 0.0) == pytest.approx(1.0, abs=1e-10)
@@ -254,33 +275,23 @@ class TestOdeOracle:
         assert out[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_static_closed_form(self):
-        grid = TimeGrid(0.0, 50.0, 201)
-        out = amplitude_ode_oracle(ModelParams(R=0.1, beta=0.0, Omega=1.5e9), grid, step=1e-3)
-        ref = np.array([closed_form_beta0(0.1, t) for t in grid.taus()])
-        assert np.max(np.abs(out - ref)) < 1e-8
+        params, grid = ModelParams(R=0.1, beta=0.0, Omega=1.5e9), TimeGrid(0.0, 50.0, 201)
+        ref = exact_reference(params, grid)
+        assert np.max(np.abs(amplitude_ode_oracle(params, grid) - ref)) < 1e-12
+        assert np.max(np.abs(rk4_loop_reference(params, grid) - ref)) < 1e-8
 
     def test_matches_exponential_sum_with_motion(self):
         params = ModelParams(R=10.0, beta=15e-9, Omega=1.5e9)
         grid = TimeGrid(0.0, 50.0, 201)
-        out = amplitude_ode_oracle(params, grid, step=1e-3)
-        ref = amplitude(build_amplitude_model(params), grid.taus())
-        assert np.max(np.abs(out - ref)) < 1e-6
+        ref = exact_reference(params, grid)
+        assert np.max(np.abs(amplitude_ode_oracle(params, grid) - ref)) < 1e-12
+        assert np.max(np.abs(rk4_loop_reference(params, grid) - ref)) < 1e-6
 
     def test_handles_degenerate_case(self):
         params = ModelParams(R=1 / math.sqrt(2), beta=0.0, Omega=1.0)
         grid = TimeGrid(0.0, 4.0, 5)
-        out = amplitude_ode_oracle(params, grid, step=1e-3)
-        ref = np.array([closed_form_beta0(params.R, t) for t in grid.taus()])
-        assert np.max(np.abs(out - ref)) < 1e-8
-
-    def test_step_guard(self):
-        params = ModelParams(R=10.0, beta=15e-9, Omega=1.5e9)  # |y| ~ 22.5
-        with pytest.raises(StepTooLarge):
-            amplitude_ode_oracle(params, TimeGrid(0.0, 1.0, 3), step=0.01)
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(RangeError):
-            amplitude_ode_oracle(ModelParams(R=1, beta=0, Omega=1), TimeGrid(0, 1, 3), step=0.0)
+        out = amplitude_ode_oracle(params, grid)
+        assert np.max(np.abs(out - exact_reference(params, grid))) < 1e-12
 
     @pytest.mark.parametrize(
         "params,grid",
@@ -292,16 +303,30 @@ class TestOdeOracle:
         ],
     )
     def test_matrix_form_equals_step_loop(self, params, grid):
+        # the propagator is exact to rounding; the RK4 loop within its error
         out = amplitude_ode_oracle(params, grid)
-        assert np.max(np.abs(out - rk4_loop_reference(params, grid))) < 1e-13
+        assert np.max(np.abs(out - exact_reference(params, grid))) < 1e-12
+        assert np.max(np.abs(out - rk4_loop_reference(params, grid))) < 1e-6
 
-    @pytest.mark.parametrize("R", [20.0, 140.0])
-    def test_step_guard_accepts_rabi_rate_below_bound(self, R):
-        # step * R/sqrt(2) <= 0.1 up to R = 141.4 at the default step
-        params = ModelParams(R=R, beta=0.0, Omega=1.5e9)
-        grid = TimeGrid(0.0, 5.0, 501)
-        ref = np.array([closed_form_beta0(R, t) for t in grid.taus()])
-        assert np.max(np.abs(amplitude_ode_oracle(params, grid) - ref)) < 1e-4
+    @pytest.mark.parametrize("R", [20.0, 140.0, 142.0, 1000.0, 3000.0])
+    def test_exact_at_large_rabi_rate(self, R):
+        # no step and no guard: the error grows only with the phase R tau
+        params, grid = ModelParams(R=R, beta=0.0, Omega=1.5e9), TimeGrid(0.0, 5.0, 501)
+        err = np.max(np.abs(amplitude_ode_oracle(params, grid) - exact_reference(params, grid)))
+        assert err < 1e-15 * R * grid.tau_end
+
+    def test_beats_the_analytic_route_near_confluence(self):
+        # The root gap, 2.0e-6, is just above DEGENERACY_GAP, so scans take
+        # the analytic route, whose weights carry the 1/gap conditioning.
+        # E(1) to 40 digits: the first entry of exp(M) by mpmath at 60 digits
+        # on the exact doubles, which the 60-digit exponential sum matches.
+        params = ModelParams(R=2e-3, beta=1e-8, Omega=0.05)
+        exact = complex(0.9999992642412315860492299350202176718187,
+                        -4.667384651355145394772226920414679652585e-25)
+        model = build_amplitude_model(params)
+        assert not model.degenerate
+        assert abs(amplitude_ode_oracle(params, TimeGrid(0.0, 1.0, 2))[-1] - exact) <= 1e-15
+        assert abs(amplitude(model, 1.0) - exact) < 1e-10  # 3.1e-11 today
 
     @pytest.mark.parametrize("rows", [1, 2, 7, 250, 500])
     def test_walk_over_blocks_equals_one_call(self, rows):
@@ -311,11 +336,26 @@ class TestOdeOracle:
         got = np.concatenate([walk(taus) for taus in grid.tau_blocks(rows)])
         assert got.tobytes() == amplitude_ode_oracle(params, grid).tobytes()
 
-    @pytest.mark.parametrize("R", [142.0, 1000.0, 3000.0])
-    def test_step_guard_counts_rabi_rate(self, R):
-        # |y+-| = 1 here; the oscillating roots approach +-iR/sqrt(2)
-        with pytest.raises(StepTooLarge, match="R/sqrt"):
-            amplitude_ode_oracle(ModelParams(R=R, beta=0.0, Omega=1.5e9), TimeGrid(0.0, 1.0, 3))
+    @settings(max_examples=300, deadline=None)
+    @given(r_exp=st.floats(-4, 4), beta_exp=st.one_of(st.none(), st.floats(-12, -3.001)),
+           omega_exp=st.floats(-3, 12), tau_exp=st.floats(-3, 3), n=st.integers(2, 200))
+    def test_analytic_route_equals_propagator(self, r_exp, beta_exp, omega_exp, tau_exp, n):
+        # over the documented box with max(R, beta*Omega) tau_end <= 1e6: both
+        # routes lose about eps per unit of phase, and the analytic route also
+        # its weights' conditioning, sum |A_i| and root scale over root gap
+        beta = 0.0 if beta_exp is None else 10.0**beta_exp
+        params = ModelParams(R=10.0**r_exp, beta=beta, Omega=10.0**omega_exp)
+        grid = TimeGrid(0.0, 10.0**tau_exp, n)
+        assume(max(params.R, beta * params.Omega) * grid.tau_end <= 1e6)
+        model = build_amplitude_model(params)
+        assume(not model.degenerate)
+        q = model.roots
+        gap = min(abs(q[i] - q[j]) for i in range(3) for j in range(i + 1, 3))
+        conditioning = sum(map(abs, model.weights)) * max(1.0, *map(abs, q)) / gap
+        phase = max(1.0, params.R * grid.tau_end,
+                    abs(params.y_plus) * grid.tau_end, abs(params.y_minus) * grid.tau_end)
+        err = np.max(np.abs(amplitude(model, grid.taus()) - amplitude_ode_oracle(params, grid)))
+        assert err <= 100 * np.finfo(float).eps * conditioning * phase
 
 
 class TestTimeGrid:
