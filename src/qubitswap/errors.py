@@ -16,7 +16,8 @@ class DegenerateModel(QubitSwapError):
 
 
 class ZeroNorm(QubitSwapError):
-    """Bell-measurement projection has vanishing success probability."""
+    """Bell-measurement projection has vanishing success probability: X = Y = 0
+    for the closed-form measures, N below ZERO_NORM_EPS for density_matrix."""
 
 
 class NonPhysicalInput(QubitSwapError):

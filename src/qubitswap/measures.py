@@ -7,8 +7,8 @@ numpy array over a time grid, and check a whole array at once.  A scalar E
 gives a scalar, an array gives an array of the same shape.  Each formula is
 written once; only the primitives below choose between the scalar and the
 array operation, and the two agree bit for bit, so an array element equals
-the scalar result for the same E.  The exception is density_populations: its
-array product is taken in place, which can move the last bits (a few ulp).
+the scalar result for the same E.  The concurrence and the populations share
+one formula, exact for identical initial states: concurrence 1 at every E != 0.
 """
 
 from __future__ import annotations
@@ -142,37 +142,33 @@ def _checked_norm(s: PostBsmState):
     return n
 
 
+def _fractions(s: PostBsmState):
+    """(2|X|^2, |Y|^2)/N from a = |X|/m, b = |Y|/m, m the larger modulus: the
+    denominator 2a^2 + b^2 is at least 1, and Y = 0 gives exactly (1, 0)."""
+    a, b = _abs(s.X), abs(s.Y)
+    m = np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
+    if not _all(m > 0):
+        raise ZeroNorm("projection has vanishing success probability")
+    # rebinding a, b and m frees each batch-sized array as soon as it is used
+    a, b = a / m, b / m
+    a, b = 2 * a * a, b * b
+    m = a + b
+    return a / m, b / m
+
+
 def concurrence_closed(s: PostBsmState):
     """Concurrence of the post-measurement pure state: 2|X|^2 / (2|X|^2 + |Y|^2)."""
-    n = _checked_norm(s)
-    return 2 * _sq(_abs(s.X)) / n
-
-
-def _population(amp, root_n):
-    """(z * conj(z)).real for z = amp / root_n, the product density_matrix's
-    outer product takes; for an array it is written over the conjugate."""
-    z = amp / root_n
-    if not isinstance(z, np.ndarray):
-        return (z * np.conj(z)).real
-    conj = np.conjugate(z)
-    return np.multiply(z, conj, out=conj).real
+    return _fractions(s)[0]
 
 
 def density_populations(s: PostBsmState) -> np.ndarray:
     """Diagonal of the post-measurement density matrix, (0, |X|^2, |X|^2,
-    |Y|^2)/N, with one row of four per entry of a batched state.
-
-    The amplitudes are normalised before they are squared, in the order
-    density_matrix's outer product takes.  For the rank-1 state the
-    populations being >= -1e-10 and summing to 1 within 1e-12 are the
-    eigenvalue and trace conditions DensityMatrix4 checks.
-    """
-    root_n = np.sqrt(_checked_norm(s))
-    pops = np.zeros((*np.shape(root_n), 4))
-    pops[..., 1] = pops[..., 2] = _population(np.asarray(s.X, dtype=complex), root_n)
-    pops[..., 3] = _population(s.Y, root_n)
-    if np.min(pops, initial=0.0) < -1e-10:
-        raise NonPhysicalInput("a population is below -1e-10")
+    |Y|^2)/N, with one row of four per entry of a batched state; their summing
+    to 1 within 1e-12 is the trace condition DensityMatrix4 checks."""
+    c, g = _fractions(s)
+    pops = np.zeros((*np.shape(c), 4))
+    pops[..., 1] = pops[..., 2] = c / 2
+    pops[..., 3] = g
     if not np.all(np.abs(pops.sum(axis=-1) - 1) <= 1e-12):
         raise NonPhysicalInput("populations do not sum to 1 within 1e-12")
     return pops

@@ -3,6 +3,7 @@
 the release criteria only tests need.  Run with
 `pytest tests/test_acceptance.py -v -s`."""
 
+import itertools
 import math
 import time
 
@@ -11,7 +12,7 @@ import pytest
 from scipy.optimize import brentq
 
 from qubitswap import validate
-from qubitswap.amplitude import ModelParams, amplitude, build_amplitude_model
+from qubitswap.amplitude import ModelParams, TimeGrid, amplitude, build_amplitude_model
 from qubitswap.measures import (
     BlochAngles,
     average_linear_entropy,
@@ -21,7 +22,14 @@ from qubitswap.measures import (
     post_bsm_projection,
 )
 from qubitswap.power import entangling_power_quadrature
-from qubitswap.scenario import STRONG, WEAK, figure_preset, run_figure, run_scan
+from qubitswap.scenario import (
+    STRONG,
+    WEAK,
+    ScenarioConfig,
+    figure_preset,
+    run_figure,
+    run_scan,
+)
 
 OMEGA = 1.5e9
 
@@ -97,23 +105,24 @@ def test_criterion_5_concurrence_oracles():
 
 
 def test_criterion_6_bell_conditions():
-    model = build_amplitude_model(ModelParams(R=10.0, beta=2e-9, Omega=OMEGA))
-    taus = np.linspace(0.0, 20.0, 400)
-    e_vals = amplitude(model, taus)
-
-    q = BlochAngles(theta=1.1, phi=0.7)
-    max_ok = all(
-        abs(concurrence_closed(post_bsm_projection(q, q, e)) - 1.0) < 1e-10
-        for e in e_vals
-        if abs(e) > 1e-12
-    )
-    ground = BlochAngles(theta=math.pi)
-    other = BlochAngles(theta=0.9, phi=2.0)
-    zero_ok = all(
-        concurrence_closed(post_bsm_projection(ground, other, e)) == 0.0 for e in e_vals
-    )
+    # identical initial states end in the stationary Bell state: concurrence
+    # exactly 1 and populations exactly (0, 1/2, 1/2, 0) at every tau, for
+    # every paper set, also where |E|^2 underflows (STRONG[0] beyond 732)
+    grid = TimeGrid(0.0, 1000.0, 2001)
+    identical = (BlochAngles(0.0), BlochAngles(1.1, 0.7), BlochAngles(math.pi / 2, 0.3))
+    ground, other = BlochAngles(theta=math.pi), BlochAngles(theta=0.9, phi=2.0)
+    bell = {"concurrence": [1.0], "density": [0.0, 0.5, 0.5, 0.0]}
+    zero = {"concurrence": [0.0], "density": [0.0, 0.0, 0.0, 1.0]}
+    max_ok = zero_ok = True
+    for params, obs in itertools.product(WEAK + STRONG, bell):
+        for q in identical:
+            values = run_scan(ScenarioConfig(params, grid, obs, (q, q))).values
+            max_ok &= bool(np.all(values == bell[obs]))
+        values = run_scan(ScenarioConfig(params, grid, obs, (ground, other))).values
+        zero_ok &= bool(np.all(values == zero[obs]))
     report("criterion 6", max_ok and zero_ok,
-           f"theta1=theta2 stays at 1: {max_ok}; theta1=pi stays at 0: {zero_ok}")
+           f"theta1=theta2 exact Bell state on [0, 1000]: {max_ok}; "
+           f"theta1=pi exact product |gg>: {zero_ok}")
 
 
 def first_peak_tau(taus, values):

@@ -778,6 +778,30 @@ class TestCliMain:
         )
         assert code == 1
 
+    def test_identical_angles_give_concurrence_one_to_tau_1000(self, capsys):
+        # the stationary Bell state, long after |E|^2 underflows
+        code = main(
+            [
+                "scan", "--R", "10", "--omega-ratio", "1.5e9", "--observable", "concurrence",
+                "--theta1", "1", "--theta2", "1", "--tau-max", "1000",
+            ]
+        )
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows and all(row.split(",")[1] == "1" for row in rows)
+
+    def test_both_qubits_in_the_ground_state_is_numeric_failure(self, capsys):
+        pi = repr(math.pi)
+        code = main(
+            [
+                "scan", "--R", "10", "--omega-ratio", "1.5e9", "--observable", "concurrence",
+                "--theta1", pi, "--theta2", pi,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numeric failure:")
+
     def test_beta_cutoff_is_usage_error(self):
         code = main(
             [
