@@ -33,6 +33,11 @@ _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 # numpy's NPY_MIN_ELIDE_BYTES: the smallest temporary it reuses in place.
 _ELIDE_BYTES = 256 * 1024
 
+# Grid points per chunk of the propagator walk: each point of a chunk is one
+# array step of a block, each chunk one Python-level carry, and 24 keeps both
+# few on blocks of 501 to 4097 points.
+_WALK_CHUNK = 24
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -256,34 +261,45 @@ def closed_form_beta0(R: float, tau: float) -> complex:
     )
 
 
-def _exp_increment(m: np.ndarray, span: float) -> np.ndarray:
-    """exp(span m) - I by scaling and squaring (Moler & Van Loan, SIAM Rev.
-    45, 2003): the degree-17 Taylor series of A = span m / 2^s, with s chosen
-    so that ||A||_1 <= 1/2, then s squarings.  The powers are kept in
-    increment form, D = exp(A) - I, squared as (I + D)^2 - I = 2D + D^2: for
-    a small span the identity in I + D would absorb D's low bits."""
-    s = max(0, math.frexp(span * np.abs(m).sum(axis=0).max())[1] + 1)
-    a = math.ldexp(span, -s) * m
-    eye = np.eye(3)
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for (3, 3, n) stacks of 3x3 matrices, each with the same bits
+    whatever else the stack holds."""
+    prod = a[:, :, None] * b[None]
+    return prod[:, 0] + prod[:, 1] + prod[:, 2]
+
+
+def _exp_increments(m: np.ndarray, spans: list[float]) -> np.ndarray:
+    """exp(span m) - I for each span, as a (3, 3, len(spans)) stack, by
+    scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 2003): the
+    degree-17 Taylor series of A = span m / 2^s, with s chosen per span so
+    that ||A||_1 <= 1/2, then s squarings.  The powers are kept in increment
+    form, D = exp(A) - I, squared as (I + D)^2 - I = 2D + D^2: for a small
+    span the identity in I + D would absorb D's low bits."""
+    spans = np.asarray(spans, dtype=float)
+    s = np.maximum(0, np.frexp(spans * np.abs(m).sum(axis=0).max())[1] + 1)
+    a = m[:, :, None] * np.ldexp(spans, -s)
+    eye = np.eye(3)[:, :, None]
     p = eye
     for k in range(17, 1, -1):  # Horner: I + A/2 (I + A/3 (... (I + A/17)))
-        p = eye + a @ p / k
-    d = a @ p
-    for _ in range(s):
-        d = 2 * d + d @ d
+        p = eye + _mul(a, p) / k
+    d = _mul(a, p)
+    for i in range(s.max(initial=0)):
+        d = np.where(s > i, 2 * d + _mul(d, d), d)
     return d
 
 
 def amplitude_ode_oracle(params: ModelParams, grid: TimeGrid) -> np.ndarray:
-    """E sampled on the grid by the propagator of ode_oracle_walk."""
-    return ode_oracle_walk(params)(grid.taus())
+    """E sampled on the grid by the propagator of ode_oracle_walk, walked in
+    blocks of 4096 points so that memory holds one block."""
+    walk = ode_oracle_walk(params)
+    return np.concatenate([walk(taus) for taus in grid.tau_blocks(1 << 12)])
 
 
 def ode_oracle_walk(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
     """E from the exact propagator of the memory-kernel equation on a grid
     that comes in blocks: each call takes the next block's taus and returns
-    E there, carrying the state, the last tau and the span increments on, so
-    the blocks give the bits of one call on the whole grid.
+    E there, carrying the walk on, so the blocks give the bits of one call on
+    the whole grid.
 
     Splitting the exponential-cosh kernel into its two exponentials gives the
     linear system dE/dtau = -(R^2/4)(z+ + z-), dz+-/dtau = E - y+- z+-, with
@@ -294,28 +310,64 @@ def ode_oracle_walk(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
 
     whose Hermitian part diag(0, -Re y+, -Re y-) is negative semidefinite, so
     exp(M tau) is a contraction.  Each span between grid points advances s by
-    exp(M span), exactly and with no step size; its increment is formed once
-    per distinct span (a linspace grid has only a few).  The route reads the
+    exp(M span) = I + D, exactly and with no step size; the D of a block's
+    new spans come from one stacked call (a linspace grid has only a few).
+    The grid falls into chunks of _WALK_CHUNK points from its first point on,
+    and a block advances all of its chunks at once: each keeps L_j = P_j - I,
+    P_j its steps' product up to its point j, as L_j = L_{j-1} + D_j +
+    D_j L_{j-1}, so s_j = s_0 + L_j s_0 needs only the state s_0 at the
+    chunk's start, carried from chunk to chunk.  The route reads the
     parameters, not the cubic's roots, so it is independent of the analytic
     route and holds where those roots coincide.
     """
     g = params.R / 2
     m = np.array([[0, -g, -g], [g, -params.y_plus, 0], [g, 0, -params.y_minus]], dtype=complex)
-    increments: dict[float, np.ndarray] = {}
-    state = np.array([1, 0, 0], dtype=complex)
-    last = 0.0
+    increments: dict[float, np.ndarray] = {}  # span -> its D
+    start, inc_open = [1 + 0j, 0j, 0j], np.zeros((3, 3), dtype=complex)  # s_0, L of the open chunk
+    last, walked = 0.0, 0
 
     def walk(taus: np.ndarray) -> np.ndarray:
-        nonlocal state, last
-        spans = np.diff(taus, prepend=last)
-        for span in set(spans[spans > 0].tolist()) - increments.keys():
-            increments[span] = _exp_increment(m, span)
-        out = np.empty(len(taus), dtype=complex)
-        for i, span in enumerate(spans.tolist()):
-            if span > 0:
-                state = state + increments[span] @ state
-            out[i] = state[0]
-        last = taus[-1] if len(taus) else last
-        return out
+        nonlocal start, inc_open, last, walked
+        if not len(taus):
+            return np.empty(0, dtype=complex)
+        size, first = len(taus), walked % _WALK_CHUNK
+        spans, where = np.unique(np.diff(taus, prepend=last), return_inverse=True)
+        new = [s for s in spans.tolist() if s > 0 and s not in increments]
+        if new:
+            increments.update(zip(new, _exp_increments(m, new).transpose(2, 0, 1)))
+        no_step = np.zeros((3, 3), dtype=complex)  # for a span <= 0
+        table = np.stack([increments.get(s, no_step) for s in spans.tolist()], axis=-1)
+        # the D of point j of chunk c is table[..., at[j, c]], padded to
+        # whole chunks: the chunks come last, so every operation runs along them
+        chunks = -(-(first + size) // _WALK_CHUNK)
+        at = np.zeros(chunks * _WALK_CHUNK, dtype=np.intp)
+        at[first:first + size] = where
+        at = at.reshape(chunks, _WALK_CHUNK).T
+        inc = np.zeros((3, 3, chunks), dtype=complex)
+        inc[..., 0] = inc_open
+        inc_row0 = np.empty((3, _WALK_CHUNK, chunks), dtype=complex)
+        for j in range(_WALK_CHUNK):  # chunks lo..hi-1 hold a point at position j
+            lo, hi = int(j < first), (first + size - 1 - j) // _WALK_CHUNK + 1
+            if lo < hi:
+                dj, lj = table.take(at[j, lo:hi], axis=2), inc[..., lo:hi]
+                dl = _mul(dj, lj)
+                lj += dj
+                lj += dl
+                inc_row0[:, j, lo:hi] = lj[0]
+        starts = [start]
+        # each chunk's s_0 + L s_0 in Python complex numbers, which have the
+        # same bits whichever block a chunk ends in
+        for li in inc.transpose(2, 0, 1).tolist():
+            s0 = starts[-1]
+            starts.append([s0[r] + (li[r][0] * s0[0] + li[r][1] * s0[1] + li[r][2] * s0[2])
+                           for r in range(3)])
+        s0 = np.array(starts[:-1]).T
+        out = s0[0] + (inc_row0[0] * s0[0] + inc_row0[1] * s0[1] + inc_row0[2] * s0[2])
+        walked, last = walked + size, taus[-1]
+        if walked % _WALK_CHUNK:  # the last chunk stays open
+            start, inc_open = starts[-2], inc[..., -1].copy()
+        else:
+            start, inc_open = starts[-1], np.zeros((3, 3), dtype=complex)
+        return out.T.reshape(-1)[first:first + size]
 
     return walk

@@ -9,6 +9,7 @@ written once; only the primitives below choose between the scalar and the
 array operation, and the two agree bit for bit, so an array element equals
 the scalar result for the same E.  The concurrence and the populations share
 one formula, exact for identical initial states: concurrence 1 at every E != 0.
+The spin-flip route takes a batch of states as one stack of density matrices.
 """
 
 from __future__ import annotations
@@ -60,19 +61,21 @@ def _survival_probability(E):
 @dataclass(frozen=True)
 class BlochAngles:
     """Polar/azimuthal angles of a qubit's initial pure state on the Bloch
-    sphere; theta=0 is the excited state."""
+    sphere; theta=0 is the excited state.  Arrays of angles, one pair per
+    state, make a batch."""
 
-    theta: float
-    phi: float = 0.0
+    theta: float | np.ndarray
+    phi: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.theta <= math.pi):
+        if not _all((0 <= self.theta) & (self.theta <= math.pi)):
             raise RangeError(f"theta must lie in [0, pi], got {self.theta}")
-        if not math.isfinite(self.phi):
+        if not _all(np.isfinite(self.phi)):
             raise RangeError(f"phi must be finite, got {self.phi}")
         phi = self.phi % (2 * math.pi)
         # a tiny negative phi gives 2pi itself, which would not map to itself
-        object.__setattr__(self, "phi", 0.0 if phi == 2 * math.pi else phi)
+        phi = np.where(phi == 2 * math.pi, 0.0, phi)
+        object.__setattr__(self, "phi", phi if phi.ndim else float(phi))
 
 
 def linear_entropy(theta: float, E):
@@ -94,9 +97,12 @@ def average_linear_entropy(E):
     return (2.0 / 3.0) * (1 - p) * p
 
 
-def _half_cos_sin(theta: float) -> tuple[float, float]:
+def _half_cos_sin(theta):
     # cos(pi/2) rounds to 6e-17, but a ground-state qubit must contribute an
     # exactly vanishing singlet amplitude.
+    if isinstance(theta, np.ndarray):
+        ground = theta == math.pi
+        return np.where(ground, 0.0, np.cos(theta / 2)), np.where(ground, 1.0, np.sin(theta / 2))
     if theta == math.pi:
         return 0.0, 1.0
     return math.cos(theta / 2), math.sin(theta / 2)
@@ -109,15 +115,16 @@ class PostBsmState:
     (unnormalized) success weight 2|X|^2 + |Y|^2.
 
     X is a complex scalar, or an array with one entry per amplitude E of a
-    batch; Y depends only on the initial angles and is always a scalar.
+    batch; Y depends only on the initial angles, and is an array only for a
+    batch of angles.
     """
 
     X: complex | np.ndarray
-    Y: complex
+    Y: complex | np.ndarray
 
     @property
     def N(self):
-        return 2 * _sq(_abs(self.X)) + _sq(abs(self.Y))
+        return 2 * _sq(_abs(self.X)) + _sq(_abs(self.Y))
 
 
 def post_bsm_projection(q1: BlochAngles, q2: BlochAngles, E) -> PostBsmState:
@@ -132,7 +139,7 @@ def post_bsm_projection(q1: BlochAngles, q2: BlochAngles, E) -> PostBsmState:
     c2, s2 = _half_cos_sin(q2.theta)
     x = c1 * c2 * E
     y = s1 * c2 * np.exp(1j * q1.phi) - s2 * c1 * np.exp(1j * q2.phi)
-    return PostBsmState(X=x if isinstance(x, np.ndarray) else complex(x), Y=complex(y))
+    return PostBsmState(*(v if isinstance(v, np.ndarray) else complex(v) for v in (x, y)))
 
 
 def _checked_norm(s: PostBsmState):
@@ -145,7 +152,7 @@ def _checked_norm(s: PostBsmState):
 def _fractions(s: PostBsmState):
     """(2|X|^2, |Y|^2)/N from a = |X|/m, b = |Y|/m, m the larger modulus: the
     denominator 2a^2 + b^2 is at least 1, and Y = 0 gives exactly (1, 0)."""
-    a, b = _abs(s.X), abs(s.Y)
+    a, b = _abs(s.X), _abs(s.Y)
     m = np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
     if not _all(m > 0):
         raise ZeroNorm("projection has vanishing success probability")
@@ -176,17 +183,18 @@ def density_populations(s: PostBsmState) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix4:
-    """Validated 4x4 two-qubit density matrix in the (ee, eg, ge, gg) basis."""
+    """Validated 4x4 two-qubit density matrix in the (ee, eg, ge, gg) basis,
+    or an (n, 4, 4) stack of them, each checked."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise NonPhysicalInput(f"expected 4x4 matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
+        if m.shape[-2:] != (4, 4) or m.ndim not in (2, 3):
+            raise NonPhysicalInput(f"expected 4x4 matrices, got shape {m.shape}")
+        if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > 1e-12:
             raise NonPhysicalInput("matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
+        if np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1)) > 1e-12:
             raise NonPhysicalInput("trace differs from 1 beyond 1e-12")
         if np.min(np.linalg.eigvalsh(m)) < -1e-10:
             raise NonPhysicalInput("matrix has an eigenvalue below -1e-10")
@@ -195,13 +203,15 @@ class DensityMatrix4:
 
 def density_matrix(s: PostBsmState) -> DensityMatrix4:
     """Outer product of the normalized post-measurement amplitude vector
-    (0, X, -X, Y)/sqrt(N)."""
-    vec = np.array([0, s.X, -s.X, s.Y], dtype=complex) / math.sqrt(_checked_norm(s))
-    return DensityMatrix4(np.outer(vec, vec.conj()))
+    (0, X, -X, Y)/sqrt(N); a batched state gives one matrix per entry."""
+    x, y = np.broadcast_arrays(np.asarray(s.X, dtype=complex), s.Y)
+    vec = np.stack([np.zeros_like(x), x, -x, y], axis=-1) / np.sqrt(_checked_norm(s))[..., None]
+    return DensityMatrix4(vec[..., :, None] * vec[..., None, :].conj())
 
 
-def concurrence_wootters(rho: DensityMatrix4) -> float:
-    """Concurrence from the spin-flip spectrum of rho.
+def concurrence_wootters(rho: DensityMatrix4):
+    """Concurrence from the spin-flip spectrum of rho: a float, or an array
+    with one entry per matrix of a stack.
 
     Eigenvalues of rho (sy x sy) rho* (sy x sy) in decreasing order;
     round-off on rank-deficient states can push them slightly negative, so
@@ -212,6 +222,7 @@ def concurrence_wootters(rho: DensityMatrix4) -> float:
     evals = np.linalg.eigvals(spin_flipped).real
     if np.min(evals) < -1e-10:
         raise NonPhysicalInput("spin-flip spectrum has a large negative eigenvalue")
-    evals = np.sqrt(np.maximum(evals, 0.0))
-    evals[::-1].sort()
-    return float(max(0.0, evals[0] - evals[1] - evals[2] - evals[3]))
+    e = np.sort(np.sqrt(np.maximum(evals, 0.0)), axis=-1)[..., ::-1]
+    c = e[..., 0] - e[..., 1] - e[..., 2] - e[..., 3]
+    c = np.where(c > 0, c, 0.0)  # max(0, c), with a NaN giving 0
+    return float(c) if c.ndim == 0 else c

@@ -19,6 +19,7 @@ from .amplitude import (
 )
 from .measures import (
     BlochAngles,
+    PostBsmState,
     average_linear_entropy,
     concurrence_closed,
     concurrence_wootters,
@@ -109,17 +110,14 @@ def check_entropy_bounds():
 
 
 def check_concurrence_oracle():
-    rng = np.random.default_rng(99)
-    errs = []
-    for _ in range(300):
-        q1 = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        q2 = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        e = math.sqrt(rng.uniform(0, 1)) * np.exp(1j * rng.uniform(0, 2 * math.pi))
-        state = post_bsm_projection(q1, q2, e)
-        if state.N < 1e-12:
-            continue
-        errs.append(abs(concurrence_closed(state) - concurrence_wootters(density_matrix(state))))
-    return np.max(errs), 1e-8
+    # 300 seeded draws of (theta1, phi1, theta2, phi2, |E|^2, arg E), as one
+    # batch of the states of non-vanishing norm
+    t1, p1, t2, p2, u, arg = np.random.default_rng(99).uniform(
+        0, [math.pi, 2 * math.pi] * 2 + [1, 2 * math.pi], (300, 6)).T
+    s = post_bsm_projection(BlochAngles(t1, p1), BlochAngles(t2, p2), np.sqrt(u) * np.exp(1j * arg))
+    batch = PostBsmState(s.X[s.N >= 1e-12], s.Y[s.N >= 1e-12])
+    errs = concurrence_closed(batch) - concurrence_wootters(density_matrix(batch))
+    return np.max(np.abs(errs)), 1e-8
 
 
 def check_power_estimators():

@@ -8,8 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qubitswap.amplitude import (
+    _WALK_CHUNK,
     ModelParams,
     TimeGrid,
+    _exp_increments,
     amplitude,
     amplitude_ode_oracle,
     ode_oracle_walk,
@@ -63,6 +65,39 @@ def exact_reference(params, grid):
     if params.beta == 0:
         return np.array([closed_form_beta0(params.R, t) for t in grid.taus()])
     return amplitude(build_amplitude_model(params), grid.taus())
+
+
+def exp_increment_reference(m, span):
+    """exp(span m) - I by scaling and squaring for one span: the degree-17
+    Taylor series of span m / 2^s, ||span m / 2^s||_1 <= 1/2, in increment
+    form, then s squarings, with numpy's matrix product."""
+    s = max(0, math.frexp(span * np.abs(m).sum(axis=0).max())[1] + 1)
+    a = math.ldexp(span, -s) * m
+    eye = np.eye(3)
+    p = eye
+    for k in range(17, 1, -1):
+        p = eye + a @ p / k
+    d = a @ p
+    for _ in range(s):
+        d = 2 * d + d @ d
+    return d
+
+
+def propagator_generator(params):
+    g = params.R / 2
+    return np.array([[0, -g, -g], [g, -params.y_plus, 0], [g, 0, -params.y_minus]], dtype=complex)
+
+
+def sequential_walk_reference(params, grid):
+    """The propagator walk one grid point at a time: s = s + D s with the
+    D of each span, as exp_increment_reference forms it."""
+    m, state, last, out = propagator_generator(params), np.array([1, 0, 0], dtype=complex), 0.0, []
+    for tau in grid.taus().tolist():
+        if tau > last:
+            state = state + exp_increment_reference(m, tau - last) @ state
+        out.append(state[0])
+        last = tau
+    return np.array(out)
 
 
 class TestModelParams:
@@ -303,10 +338,15 @@ class TestOdeOracle:
         ],
     )
     def test_matrix_form_equals_step_loop(self, params, grid):
-        # the propagator is exact to rounding; the RK4 loop within its error
+        # the propagator is exact to rounding; the RK4 loop within its error;
+        # the walk one point at a time within eps per unit of phase, since
+        # the chunked walk multiplies the same steps in another order
         out = amplitude_ode_oracle(params, grid)
         assert np.max(np.abs(out - exact_reference(params, grid))) < 1e-12
         assert np.max(np.abs(out - rk4_loop_reference(params, grid))) < 1e-6
+        phase = max(1.0, params.R, abs(params.y_plus), abs(params.y_minus)) * grid.tau_end
+        err = np.max(np.abs(out - sequential_walk_reference(params, grid)))
+        assert err <= np.finfo(float).eps * phase
 
     @pytest.mark.parametrize("R", [20.0, 140.0, 142.0, 1000.0, 3000.0])
     def test_exact_at_large_rabi_rate(self, R):
@@ -328,13 +368,37 @@ class TestOdeOracle:
         assert abs(amplitude_ode_oracle(params, TimeGrid(0.0, 1.0, 2))[-1] - exact) <= 1e-15
         assert abs(amplitude(model, 1.0) - exact) < 1e-10  # 3.1e-11 today
 
-    @pytest.mark.parametrize("rows", [1, 2, 7, 250, 500])
+    @pytest.mark.parametrize("rows", [1, 2, 7, _WALK_CHUNK - 1, _WALK_CHUNK + 1, 250, 500, 4097])
     def test_walk_over_blocks_equals_one_call(self, rows):
-        # the state, the last tau and the span increments carry across blocks
-        params, grid = STRONG[2], TimeGrid(0.5, 20.0, 501)
-        walk = ode_oracle_walk(params)
-        got = np.concatenate([walk(taus) for taus in grid.tau_blocks(rows)])
-        assert got.tobytes() == amplitude_ode_oracle(params, grid).tobytes()
+        # the open chunk, the last tau and the span increments carry across
+        # blocks, whether a block ends inside a chunk or not (4097 rows is a
+        # scan's amplitude block), on the analytic and on the fallback route
+        grid = TimeGrid(0.5, 20.0, 5001)
+        for params in (STRONG[2], ModelParams(R=1 / math.sqrt(2), beta=0.0, Omega=1.5e9)):
+            walk, one_call = ode_oracle_walk(params), ode_oracle_walk(params)
+            got = np.concatenate([walk(taus) for taus in grid.tau_blocks(rows)])
+            assert got.tobytes() == one_call(grid.taus()).tobytes()
+            assert got.tobytes() == amplitude_ode_oracle(params, grid).tobytes()
+
+    @pytest.mark.parametrize("params", [*WEAK, *STRONG, ModelParams(3000.0, 0.0, 1.5e9),
+                                        ModelParams(1 / math.sqrt(2), 0.0, 1.0)])
+    def test_stacked_increments_match_one_span_at_a_time(self, params):
+        # the spans of three linspace grids, and spans far below and above 1:
+        # each matrix has its bits whatever the stack holds, and is within a
+        # few ulps per unit of phase span ||m||_1 of the reference, whose
+        # squarings round otherwise
+        spans = sorted({*np.diff(TimeGrid(0.0, 50.0, 1000).taus()).tolist(),
+                        *np.diff(TimeGrid(2.5, 17.3, 333).taus()).tolist(),
+                        *np.diff(TimeGrid(0.0, 5.0, 501).taus()).tolist(), 1e-9, 0.7, 30.0})
+        m = propagator_generator(params)
+        norm = np.abs(m).sum(axis=0).max()
+        stacked = _exp_increments(m, spans)
+        for i, span in enumerate(spans):
+            alone = _exp_increments(m, [span])[..., 0]
+            assert alone.tobytes() == stacked[..., i].tobytes()
+            ref = exp_increment_reference(m, span)
+            ulp = np.finfo(float).eps * np.max(np.abs(ref))
+            assert np.max(np.abs(alone - ref)) <= 4 * ulp * max(1.0, span * norm)
 
     @settings(max_examples=300, deadline=None)
     @given(r_exp=st.floats(-4, 4), beta_exp=st.one_of(st.none(), st.floats(-12, -3.001)),

@@ -5,11 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from qubitswap import validate
 from qubitswap.amplitude import ModelParams, TimeGrid, amplitude, build_amplitude_model
 from qubitswap.errors import NonPhysicalInput, RangeError, ZeroNorm
 from qubitswap.measures import (
     BlochAngles,
     DensityMatrix4,
+    PostBsmState,
     average_linear_entropy,
     concurrence_closed,
     concurrence_wootters,
@@ -227,6 +229,65 @@ class TestConcurrenceWootters:
             assert abs(
                 concurrence_wootters(density_matrix(s)) - concurrence_closed(s)
             ) < 1e-8
+
+
+def seeded_states():
+    """The states validate's concurrence-oracle checks: default_rng(99) drawn
+    one value at a time, (theta1, phi1, theta2, phi2, |E|^2, arg E) for each
+    of 300 samples, and those of non-vanishing norm kept."""
+    rng = np.random.default_rng(99)
+    states = []
+    for _ in range(300):
+        q1 = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        q2 = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        e = math.sqrt(rng.uniform(0, 1)) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        states.append(post_bsm_projection(q1, q2, e))
+    return [s for s in states if s.N >= 1e-12]
+
+
+def stack(states):
+    return PostBsmState(np.array([s.X for s in states]), np.array([s.Y for s in states]))
+
+
+class TestBatchedWootters:
+    def test_stack_equals_scalar_calls(self):
+        states = seeded_states()
+        rho = density_matrix(stack(states))
+        assert rho.matrix.shape == (len(states), 4, 4)
+        scalar = [density_matrix(s) for s in states]
+        assert rho.matrix.tobytes() == np.array([r.matrix for r in scalar]).tobytes()
+        got = concurrence_wootters(rho)
+        assert got.tobytes() == np.array([concurrence_wootters(r) for r in scalar]).tobytes()
+        assert concurrence_closed(stack(states)).tobytes() == (
+            np.array([concurrence_closed(s) for s in states]).tobytes())
+
+    def test_validate_checks_the_seeded_states_as_one_batch(self, monkeypatch):
+        batches = []
+        real = validate.density_matrix
+        monkeypatch.setattr(validate, "density_matrix", lambda s: batches.append(s) or real(s))
+        assert validate.check_concurrence_oracle()[0] <= 1e-8
+        # the same draws and the same states, projected as one batch of angles
+        (batch,) = batches
+        expected = stack(seeded_states())
+        np.testing.assert_allclose(batch.X, expected.X, rtol=0, atol=4e-16)
+        np.testing.assert_allclose(batch.Y, expected.Y, rtol=0, atol=4e-16)
+
+    def test_bell_and_product_state_in_one_stack(self):
+        v = np.array([0, 1, -1, 0]) / math.sqrt(2)
+        rho = DensityMatrix4(np.array([np.outer(v, v), np.diag([0, 0, 0, 1.0])]))
+        assert concurrence_wootters(rho) == pytest.approx([1.0, 0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("flaw, message", [
+        (lambda m: m.__setitem__((0, 1), 1e-9), "not Hermitian"),
+        (lambda m: m.__setitem__((3, 3), m[3, 3] + 1e-9), "trace"),
+        (lambda m: m.__setitem__(np.s_[:], np.diag([0.5, 0.5, 0.25, -0.25])), "eigenvalue"),
+    ])
+    def test_one_flawed_matrix_fails_the_stack(self, flaw, message):
+        rho = density_matrix(stack(seeded_states()[:20])).matrix.copy()
+        flaw(rho[7])
+        with pytest.raises(NonPhysicalInput, match=message) as info:
+            DensityMatrix4(rho)
+        assert "\n" not in str(info.value)
 
 
 class TestClassifyInitialState:

@@ -956,13 +956,15 @@ class TestCliInputErrors:
 
 CHECK_NAMES = [name for name, _ in validate.ALL_CHECKS]
 
-# (check, the function it checks, how that function's fifth result is spoiled,
-# the worst and the bound that validate then prints)
+# (check, the function it checks, which of its calls is spoiled and how, the
+# worst and the bound that validate then prints); concurrence-oracle calls
+# concurrence_wootters once, on its whole batch, and its fifth value is spoiled
 SPOILED = [
-    ("ode-oracle-agreement", "amplitude_ode_oracle", lambda out: out + 2e-10, "2e-10", "1e-10"),
-    ("ode-oracle-agreement", "amplitude_ode_oracle", lambda out: np.append(out[:-1], np.nan),
+    ("ode-oracle-agreement", "amplitude_ode_oracle", 4, lambda out: out + 2e-10, "2e-10", "1e-10"),
+    ("ode-oracle-agreement", "amplitude_ode_oracle", 4, lambda out: np.append(out[:-1], np.nan),
      "nan", "1e-10"),
-    ("concurrence-oracle", "concurrence_wootters", lambda c: math.nan, "nan", "1e-08"),
+    ("concurrence-oracle", "concurrence_wootters", 0, lambda c: np.r_[c[:4], np.nan, c[5:]],
+     "nan", "1e-08"),
 ]
 
 POWER_FLAWS = [
@@ -977,13 +979,14 @@ class TestValidateCommand:
         assert main(["validate"]) == 0
         assert capsys.readouterr().out.splitlines() == [f"PASS {name}" for name in CHECK_NAMES]
 
-    @pytest.mark.parametrize("name, attr, spoil, worst, bound", SPOILED)
-    def test_one_spoiled_check_fails(self, capsys, monkeypatch, name, attr, spoil, worst, bound):
+    @pytest.mark.parametrize("name, attr, call, spoil, worst, bound", SPOILED)
+    def test_one_spoiled_check_fails(self, capsys, monkeypatch, name, attr, call, spoil, worst,
+                                     bound):
         real, calls = getattr(validate, attr), itertools.count()
 
         def spoiled(*args, **kwargs):
             out = real(*args, **kwargs)
-            return spoil(out) if next(calls) == 4 else out
+            return spoil(out) if next(calls) == call else out
 
         monkeypatch.setattr(validate, attr, spoiled)
         assert main(["validate"]) == 2
