@@ -263,12 +263,12 @@ def closed_form_beta0(R: float, tau: float) -> complex:
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for (3, 3, n) stacks of 3x3 matrices, each with the same bits
-    whatever else the stack holds."""
-    prod = a[:, :, None] * b[None]
-    return prod[:, 0] + prod[:, 1] + prod[:, 2]
+    whatever else the stack holds: the sum runs along a middle axis, so numpy
+    adds the three products in order, elementwise, never pairwise."""
+    return (a[:, :, None] * b[None]).sum(axis=1)
 
 
-def _exp_increments(m: np.ndarray, spans: list[float]) -> np.ndarray:
+def _exp_increments(m: np.ndarray, spans) -> np.ndarray:
     """exp(span m) - I for each span, as a (3, 3, len(spans)) stack, by
     scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 2003): the
     degree-17 Taylor series of A = span m / 2^s, with s chosen per span so
@@ -310,8 +310,8 @@ def ode_oracle_walk(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
 
     whose Hermitian part diag(0, -Re y+, -Re y-) is negative semidefinite, so
     exp(M tau) is a contraction.  Each span between grid points advances s by
-    exp(M span) = I + D, exactly and with no step size; the D of a block's
-    new spans come from one stacked call (a linspace grid has only a few).
+    exp(M span) = I + D, exactly and with no step size; one stacked call gives
+    the D of a block's distinct spans (few on a linspace grid; 0 for span 0).
     The grid falls into chunks of _WALK_CHUNK points from its first point on,
     and a block advances all of its chunks at once: each keeps L_j = P_j - I,
     P_j its steps' product up to its point j, as L_j = L_{j-1} + D_j +
@@ -322,7 +322,6 @@ def ode_oracle_walk(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
     """
     g = params.R / 2
     m = np.array([[0, -g, -g], [g, -params.y_plus, 0], [g, 0, -params.y_minus]], dtype=complex)
-    increments: dict[float, np.ndarray] = {}  # span -> its D
     start, inc_open = [1 + 0j, 0j, 0j], np.zeros((3, 3), dtype=complex)  # s_0, L of the open chunk
     last, walked = 0.0, 0
 
@@ -332,11 +331,7 @@ def ode_oracle_walk(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
             return np.empty(0, dtype=complex)
         size, first = len(taus), walked % _WALK_CHUNK
         spans, where = np.unique(np.diff(taus, prepend=last), return_inverse=True)
-        new = [s for s in spans.tolist() if s > 0 and s not in increments]
-        if new:
-            increments.update(zip(new, _exp_increments(m, new).transpose(2, 0, 1)))
-        no_step = np.zeros((3, 3), dtype=complex)  # for a span <= 0
-        table = np.stack([increments.get(s, no_step) for s in spans.tolist()], axis=-1)
+        table = _exp_increments(m, spans)
         # the D of point j of chunk c is table[..., at[j, c]], padded to
         # whole chunks: the chunks come last, so every operation runs along them
         chunks = -(-(first + size) // _WALK_CHUNK)
@@ -345,7 +340,7 @@ def ode_oracle_walk(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
         at = at.reshape(chunks, _WALK_CHUNK).T
         inc = np.zeros((3, 3, chunks), dtype=complex)
         inc[..., 0] = inc_open
-        inc_row0 = np.empty((3, _WALK_CHUNK, chunks), dtype=complex)
+        inc_row0 = np.zeros((3, _WALK_CHUNK, chunks), dtype=complex)  # padding read below
         for j in range(_WALK_CHUNK):  # chunks lo..hi-1 hold a point at position j
             lo, hi = int(j < first), (first + size - 1 - j) // _WALK_CHUNK + 1
             if lo < hi:

@@ -121,12 +121,13 @@ def entangling_power_mc_grid(p, spec: MonteCarloSpec) -> tuple[np.ndarray, np.nd
     """Monte Carlo (mean, standard error) arrays of p's shape.
 
     u = cos(theta) uniform on [-1, 1] and phi uniform on [0, 2pi) are drawn
-    for both qubits once, seeded: default_rng(seed)'s stream u1 | u2 | phi1 |
-    phi2, one 64-bit output a double, read _DRAW_BLOCK samples at a time from
-    four copies advanced to its four parts (_streams).  Memory is 16 bytes a
-    sample (r and one concurrence array) plus one block: through cli.main a
-    power scan peaks (VmHWM) at 52 MB for 1e6 samples and 98 MB for 4e6,
-    against 144 and 464 MB when all were drawn at once.  The closed-form
+    for both qubits on each call, seeded, the same samples every time (so a
+    p's pair depends on p and spec only): default_rng(seed)'s stream u1 | u2 |
+    phi1 | phi2, one 64-bit output a double, read _DRAW_BLOCK samples at a
+    time from four copies advanced to its four parts (_streams).  Memory is 16
+    bytes a sample (r and one concurrence array) plus one block: through
+    cli.main a power scan peaks (VmHWM) at 52 MB for 1e6 samples and 98 MB for
+    4e6, against 144 and 464 MB when all were drawn at once.  The closed-form
     concurrence 2|X|^2 / (2|X|^2 + |Y|^2) of post_bsm_projection is averaged
     over the draws at every p.  With theta in [0, pi] the half angles
     need no trigonometry: c = cos(theta/2) = sqrt((1 + u)/2) and
@@ -147,38 +148,7 @@ def entangling_power_mc_grid(p, spec: MonteCarloSpec) -> tuple[np.ndarray, np.nd
     in [1/2, 1), and scale back exactly: squares of concurrences of order p
     underflow below p of about 1e-160, and the scaled ones do not overflow
     even on the ridge.  Exactly (0.0, 0.0) where p = 0."""
-    return mc_estimates(_checked_p(p), mc_draws(spec))
-
-
-def _streams(spec: MonteCarloSpec) -> list:
-    """Generators of u1, u2, phi1 and phi2 (entangling_power_mc_grid)."""
-    n = spec.n_samples
-    return [np.random.Generator(np.random.PCG64(spec.seed).advance(k * n)) for k in range(4)]
-
-
-def mc_draws(spec: MonteCarloSpec) -> np.ndarray:
-    """The ratios r of spec's seeded draws (entangling_power_mc_grid)."""
-    n = spec.n_samples
-    g1, g2, g3, g4 = _streams(spec)
-    r = np.full(n, math.inf)
-    for lo in range(0, n, _DRAW_BLOCK):
-        m = min(_DRAW_BLOCK, n - lo)
-        u1, u2 = g1.uniform(-1, 1, m), g2.uniform(-1, 1, m)
-        ph1, ph2 = g3.uniform(0, 2 * math.pi, m), g4.uniform(0, 2 * math.pi, m)
-        c1, s1 = np.sqrt((1 + u1) / 2), np.sqrt((1 - u1) / 2)
-        c2, s2 = np.sqrt((1 + u2) / 2), np.sqrt((1 - u2) / 2)
-        a, b = s1 * c2, s2 * c1
-        y_sq = (a - b) ** 2 + 4 * a * b * np.sin((ph1 - ph2) / 2) ** 2
-        two_c1c2_sq = 2 * (c1 * c2) ** 2
-        np.divide(y_sq, two_c1c2_sq, out=r[lo:lo + m], where=two_c1c2_sq > 0)
-    return r
-
-
-def mc_estimates(p, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo (mean, standard error) arrays of p's shape over the draws
-    r of mc_draws; each p's pair depends only on p and r."""
-    p = _checked_p(p)
-    n = len(r)
+    p, r, n = _checked_p(p), mc_draws(spec), spec.n_samples
     means, stderrs = np.zeros(p.shape), np.zeros(p.shape)
     conc = np.empty(n)
     r_min = float(r.min())
@@ -194,6 +164,31 @@ def mc_estimates(p, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             sq_dev = max(float(np.einsum("i,i->", conc, conc)) - total * (total / n), 0.0)
             stderrs.flat[i] = math.ldexp(math.sqrt(sq_dev / (n - 1)), -k) / math.sqrt(n)
     return means, stderrs
+
+
+def _streams(spec: MonteCarloSpec) -> list:
+    """Generators of u1, u2, phi1 and phi2 (entangling_power_mc_grid)."""
+    n = spec.n_samples
+    return [np.random.Generator(np.random.PCG64(spec.seed).advance(k * n)) for k in range(4)]
+
+
+def mc_draws(spec: MonteCarloSpec) -> np.ndarray:
+    """The ratios r of spec's seeded draws, the same bits on every call
+    (entangling_power_mc_grid)."""
+    n = spec.n_samples
+    g1, g2, g3, g4 = _streams(spec)
+    r = np.full(n, math.inf)
+    for lo in range(0, n, _DRAW_BLOCK):
+        m = min(_DRAW_BLOCK, n - lo)
+        u1, u2 = g1.uniform(-1, 1, m), g2.uniform(-1, 1, m)
+        ph1, ph2 = g3.uniform(0, 2 * math.pi, m), g4.uniform(0, 2 * math.pi, m)
+        c1, s1 = np.sqrt((1 + u1) / 2), np.sqrt((1 - u1) / 2)
+        c2, s2 = np.sqrt((1 + u2) / 2), np.sqrt((1 - u2) / 2)
+        a, b = s1 * c2, s2 * c1
+        y_sq = (a - b) ** 2 + 4 * a * b * np.sin((ph1 - ph2) / 2) ** 2
+        two_c1c2_sq = 2 * (c1 * c2) ** 2
+        np.divide(y_sq, two_c1c2_sq, out=r[lo:lo + m], where=two_c1c2_sq > 0)
+    return r
 
 
 def entangling_power_mc(p: float, spec: MonteCarloSpec) -> tuple[float, float]:

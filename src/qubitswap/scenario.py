@@ -26,7 +26,7 @@ from .measures import (
     linear_entropy,
     post_bsm_projection,
 )
-from .power import MonteCarloSpec, entangling_power_grid, mc_draws, mc_estimates
+from .power import MonteCarloSpec, entangling_power_grid, entangling_power_mc_grid
 from .power import entangling_power_mc, entangling_power_quadrature  # noqa: F401 (re-exported)
 
 COLUMNS = {  # observable -> CSV columns
@@ -38,8 +38,6 @@ COLUMNS = {  # observable -> CSV columns
     "density": ("tau", "pop_ee", "pop_eg", "pop_ge", "pop_gg"),
 }
 OBSERVABLES = tuple(COLUMNS)
-METHODS = ("analytic", "oracle")
-POWER_METHODS = ("quad", "mc")
 _CSV_CHUNK = 1 << 14  # values formatted per numpy pass
 
 
@@ -55,12 +53,9 @@ class ScenarioConfig:
     out: str = "-"
 
     def __post_init__(self):
-        if self.observable not in OBSERVABLES:
-            raise RangeError(f"unknown observable {self.observable!r}")
-        if self.method not in METHODS:
-            raise RangeError(f"unknown method {self.method!r}")
-        if self.power_method not in POWER_METHODS:
-            raise RangeError(f"unknown power method {self.power_method!r}")
+        for opt in OPTIONS.values():
+            if opt.choices and getattr(self, opt.field) not in opt.choices:
+                raise RangeError(f"unknown {opt.key} {getattr(self, opt.field)!r}")
         if self.observable in ("concurrence", "density") and self.angles is None:
             raise RangeError(
                 f"observable {self.observable!r} requires theta1/phi1/theta2/phi2"
@@ -117,9 +112,9 @@ OPTIONS = {opt.key: opt for opt in (
     Option("tau-min", float, "grid", "tau_start", "first scaled time"),
     Option("tau-max", float, "grid", "tau_end", "last scaled time"),
     Option("tau-steps", int, "grid", "n_points", "number of time points"),
-    Option("method", str, "config", "method", "survival-amplitude route", METHODS),
+    Option("method", str, "config", "method", "survival-amplitude route", ("analytic", "oracle")),
     Option("power-method", str, "config", "power_method", "entangling-power estimator",
-           POWER_METHODS),
+           ("quad", "mc")),
     Option("mc-samples", int, "mc", "n_samples", "Monte Carlo sample count"),
     Option("seed", int, "mc", "seed", "Monte Carlo seed"),
     Option("out", str, "config", "out", "output CSV path, '-' for stdout"),
@@ -203,8 +198,9 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     """The scan: (taus, values) for one block of rows at a time, amplitude
     then observable on that block only, so memory holds one block whatever
     the grid size.  The blocks are the bits of one pass over the whole grid:
-    the taus are linspace's, amplitude() takes the grid's operand order, the
-    propagator walk carries its state and the Monte Carlo draws are made once."""
+    the taus are linspace's, amplitude() takes the grid's operand order,
+    Monte Carlo draws the same seeded samples for each block, and the
+    propagator walk's state is all that passes from block to block."""
     grid, obs = config.grid, config.observable
     rows = _CSV_CHUNK // len(COLUMNS[obs])
     last = -math.inf
@@ -215,7 +211,6 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):
         model = build_amplitude_model(config.params)
     walk = ode_oracle_walk(config.params) if config.method == "oracle" or model.degenerate else None
-    draws = mc_draws(config.mc) if obs == "power" and config.power_method == "mc" else None
 
     for taus in grid.tau_blocks(rows):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -235,8 +230,8 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
             vals = density_populations(post_bsm_projection(*config.angles, e_vals))
         else:  # power
             p_vals = np.clip(np.abs(e_vals) ** 2, 0.0, 1.0)
-            vals = (entangling_power_grid(p_vals) if draws is None
-                    else mc_estimates(p_vals, draws)[0])[:, None]
+            vals = (entangling_power_grid(p_vals) if config.power_method == "quad"
+                    else entangling_power_mc_grid(p_vals, config.mc)[0])[:, None]
         yield taus, vals
 
 

@@ -121,7 +121,7 @@ def check_concurrence_oracle():
 
 
 def check_power_estimators():
-    ps = (0.1, 0.5, 1.0)
+    ps = (1e-3, 0.1, 0.5, 1.0)
     spec = MonteCarloSpec(n_samples=200_000, seed=4)
     conditions = []
     for p, mean, stderr in zip(ps, *entangling_power_mc_grid(np.array(ps), spec)):

@@ -15,6 +15,7 @@ from qubitswap import validate
 from qubitswap.amplitude import ModelParams, TimeGrid, amplitude, build_amplitude_model
 from qubitswap.measures import (
     BlochAngles,
+    PostBsmState,
     average_linear_entropy,
     concurrence_closed,
     concurrence_wootters,
@@ -84,22 +85,17 @@ def test_criterion_4_entropy():
 
 def test_criterion_5_concurrence_oracles():
     # the table's concurrence-oracle draws E from the unit disk; here E comes
-    # from the moving-qubit model at random times
-    rng = np.random.default_rng(5)
+    # from the moving-qubit model at random times, as one batch of the first
+    # 1000 states of non-vanishing norm; row i of the seeded draw holds
+    # (theta1, phi1, theta2, phi2, tau) of state i
     model = build_amplitude_model(ModelParams(R=10.0, beta=2e-9, Omega=OMEGA))
-    worst = 0.0
-    n = 0
-    while n < 1000:
-        q1 = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        q2 = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        tau = rng.uniform(0, 20)
-        s = post_bsm_projection(q1, q2, amplitude(model, tau))
-        if s.N < 1e-12:
-            continue
-        n += 1
-        worst = np.max(
-            [worst, abs(concurrence_wootters(density_matrix(s)) - concurrence_closed(s))]
-        )
+    t1, p1, t2, p2, tau = np.random.default_rng(5).uniform(
+        0, [math.pi, 2 * math.pi, math.pi, 2 * math.pi, 20], (1100, 5)).T
+    s = post_bsm_projection(BlochAngles(t1, p1), BlochAngles(t2, p2), amplitude(model, tau))
+    keep = np.flatnonzero(s.N >= 1e-12)[:1000]
+    assert len(keep) == 1000
+    batch = PostBsmState(s.X[keep], s.Y[keep])
+    worst = np.max(np.abs(concurrence_wootters(density_matrix(batch)) - concurrence_closed(batch)))
     report("criterion 5", worst < 1e-8,
            f"closed form vs spin-flip worst gap {worst:.3g} over 1000 draws")
 

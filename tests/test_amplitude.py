@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qubitswap.amplitude import (
     ModelParams,
     TimeGrid,
     _exp_increments,
+    _mul,
     amplitude,
     amplitude_ode_oracle,
     ode_oracle_walk,
@@ -370,15 +372,37 @@ class TestOdeOracle:
 
     @pytest.mark.parametrize("rows", [1, 2, 7, _WALK_CHUNK - 1, _WALK_CHUNK + 1, 250, 500, 4097])
     def test_walk_over_blocks_equals_one_call(self, rows):
-        # the open chunk, the last tau and the span increments carry across
-        # blocks, whether a block ends inside a chunk or not (4097 rows is a
-        # scan's amplitude block), on the analytic and on the fallback route
+        # the open chunk and the last tau carry across blocks, and each block
+        # takes the increments of its own spans, whether a block ends inside
+        # a chunk or not (4097 rows is a scan's amplitude block), on the
+        # analytic and on the fallback route
         grid = TimeGrid(0.5, 20.0, 5001)
         for params in (STRONG[2], ModelParams(R=1 / math.sqrt(2), beta=0.0, Omega=1.5e9)):
             walk, one_call = ode_oracle_walk(params), ode_oracle_walk(params)
             got = np.concatenate([walk(taus) for taus in grid.tau_blocks(rows)])
             assert got.tobytes() == one_call(grid.taus()).tobytes()
             assert got.tobytes() == amplitude_ode_oracle(params, grid).tobytes()
+
+    def test_walk_reads_no_uninitialised_memory(self, monkeypatch):
+        # a block's first and last chunks are padded to whole chunks, whose
+        # rows are computed and then dropped; they must start from zeros, not
+        # from whatever memory held (inf there raises "invalid value" warnings)
+        grid = TimeGrid(0.5, 20.0, 101)
+        expected = amplitude_ode_oracle(STRONG[2], grid)
+        poisoned = types.SimpleNamespace(**vars(np))
+        poisoned.empty = lambda shape, dtype=float: np.full(shape, np.inf, dtype=dtype)
+        monkeypatch.setattr(sys.modules["qubitswap.amplitude"], "np", poisoned)
+        walk = ode_oracle_walk(STRONG[2])
+        got = np.concatenate([walk(taus) for taus in grid.tau_blocks(7)])
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, _WALK_CHUNK, 1000])
+    def test_stacked_product_adds_in_order(self, n):
+        # the walk's and the propagator's bits rest on this order of the sum
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=(2, 3, 3, n)) + 1j * rng.normal(size=(2, 3, 3, n))
+        prod = a[:, :, None] * b[None]
+        assert _mul(a, b).tobytes() == (prod[:, 0] + prod[:, 1] + prod[:, 2]).tobytes()
 
     @pytest.mark.parametrize("params", [*WEAK, *STRONG, ModelParams(3000.0, 0.0, 1.5e9),
                                         ModelParams(1 / math.sqrt(2), 0.0, 1.0)])

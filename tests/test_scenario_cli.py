@@ -892,7 +892,7 @@ class TestCliInputErrors:
         def no_work(*args):
             raise AssertionError("no amplitude or Monte Carlo work may run")
 
-        for name in ("mc_draws", "mc_estimates", "build_amplitude_model", "amplitude",
+        for name in ("entangling_power_mc_grid", "build_amplitude_model", "amplitude",
                      "ode_oracle_walk"):
             monkeypatch.setattr(scenario, name, no_work)
         argv = ["scan", "--R", "0.1", "--omega-ratio", "1.5e9", "--observable", "power",
@@ -917,6 +917,21 @@ class TestCliInputErrors:
         config.write_text("quad-nodes = 64\n", encoding="utf-8")
         assert main(argv + ["--config", str(config)]) == 1
         assert capsys.readouterr().err == "error: line 1: unknown key 'quad-nodes'\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("observable = bogus\n", "unknown observable 'bogus'"),
+        ("observable = power\nmethod = rk4\n", "unknown method 'rk4'"),
+        ("observable = power\npower-method = gauss\n", "unknown power-method 'gauss'"),
+    ], ids=["observable", "method", "power-method"])
+    def test_bad_choice_in_config_file_is_one_line_usage_error(self, capsys, tmp_path, text,
+                                                               message):
+        # argparse checks only the flags' choices; ScenarioConfig checks a
+        # config file's value against the same choices in OPTIONS
+        config = tmp_path / "bad.conf"
+        config.write_text(text, encoding="utf-8")
+        argv = ["scan", "--R", "0.1", "--omega-ratio", "1.5e9", "--config", str(config)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_non_finite_amplitude_is_numeric_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(scenario, "amplitude",
