@@ -32,25 +32,28 @@ def _split(a):
 @functools.cache
 def _tables():
     """Powers of ten as double-doubles, and the layout tables."""
-    hi, lo = [], []
-    for s in range(_S_MIN, _S_MAX + 1):
-        num, den = 10 ** max(s, 0), 10 ** max(-s, 0)
+    hi, lo, big = [], [], 10 ** -_S_MIN
+    for s in range(_S_MIN, _S_MAX + 1):  # 10^s = num / den, big the one not 1
+        num, den = (1, big) if s < 0 else (big, 1)
         m, d = (num / den).as_integer_ratio()
         hi.append(m / d)
         lo.append((num * d - m * den) / (den * d))  # 10^s - hi, rounded once
+        big = big // 10 if s < 0 else big * 10
     pow10 = (np.array(hi), *_split(np.array(hi)), np.array(lo))
 
-    # A 4-digit group as "d.d.d.d." ("d." is 0x2E30 + d) and its trailing zeros.
-    digits = np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
-    group = ((digits + 0x2E30) << np.arange(0, 64, 16)).sum(axis=1).astype(_WORD)
-    zeros = np.append(4, (digits[1:, ::-1] != 0).argmax(axis=1)).astype(np.uint8)
+    # Each 4-digit group as "d.d.d.d." ("d." is 0x2E30 + d), and its trailing zeros.
+    w = np.arange(0x2E30, 0x2E3A, dtype=_WORD)
+    group = (w[:, None, None, None] | w[:, None, None] << 16 | w[:, None] << 32 | w << 48).ravel()
+    zeros = np.zeros(10_000, np.uint8)
+    for step in (10, 100, 1000, 10_000):  # each step dividing the group adds a zero
+        zeros[::step] += 1
 
     # Per exponent: word 0 but sign and first digit, word 5 but separator,
     # and the index of the last integer digit, plus one.
     exps = range(-_E_OFF, _E_OFF + 1)
     lead = np.array([b"\0" + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"").ljust(6, b"\0")
                      + b"." for e in exps], "S8").view(_WORD)
-    suffix = np.array([f"e{e:+03d}".encode() * (e >= 17 or e < -4) for e in exps], "S8").view(_WORD)
+    suffix = np.array([b"e%+03d" % e * (e >= 17 or e < -4) for e in exps], "S8").view(_WORD)
     int_last = np.array([e + 1 if 0 <= e < 17 else (0 if -4 <= e < 0 else 1) for e in exps])
 
     # Per (last integer digit + 1, last nonzero digit), masks of words 0-4

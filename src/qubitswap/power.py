@@ -64,7 +64,10 @@ _BETA = (
     -0.00026699995941181797, -0.00014452989255910376, -7.792369046832296e-05,
     -4.186133139112233e-05, -2.2414638818950157e-05,
 )
-_DRAW_BLOCK = 16_384  # Monte Carlo samples drawn and reduced to r at a time
+_DRAW_BLOCK = 8_192  # Monte Carlo samples drawn at a time; 2-D rows of 4 096 or
+# fewer took numpy's broadcast divide about half as long again per value
+_P_CHUNK = 8  # p values evaluated against one draw block as a 2-D array
+_SUMS_CAP = 1 << 19  # block sums held at a time; more p values redraw the samples
 
 
 @dataclass(frozen=True)
@@ -117,20 +120,19 @@ def entangling_power_quadrature(p: float) -> float:
     return float(entangling_power_grid(p))
 
 
-def entangling_power_mc_grid(p, spec: MonteCarloSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo (mean, standard error) arrays of p's shape.
+def entangling_power_mc_grid(p, spec: MonteCarloSpec,
+                             stderr: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Monte Carlo (mean, standard error) arrays of p's shape; with stderr
+    false, no sums of squares and None for the errors (a scan writes means).
 
     u = cos(theta) uniform on [-1, 1] and phi uniform on [0, 2pi) are drawn
     for both qubits on each call, seeded, the same samples every time (so a
     p's pair depends on p and spec only): default_rng(seed)'s stream u1 | u2 |
     phi1 | phi2, one 64-bit output a double, read _DRAW_BLOCK samples at a
-    time from four copies advanced to its four parts (_streams).  Memory is 16
-    bytes a sample (r and one concurrence array) plus one block: through
-    cli.main a power scan peaks (VmHWM) at 52 MB for 1e6 samples and 98 MB for
-    4e6, against 144 and 464 MB when all were drawn at once.  The closed-form
-    concurrence 2|X|^2 / (2|X|^2 + |Y|^2) of post_bsm_projection is averaged
-    over the draws at every p.  With theta in [0, pi] the half angles
-    need no trigonometry: c = cos(theta/2) = sqrt((1 + u)/2) and
+    time from four copies advanced to its four parts (_streams).  The
+    closed-form concurrence 2|X|^2 / (2|X|^2 + |Y|^2) of post_bsm_projection
+    is averaged over the draws at every p.  With theta in [0, pi] the half
+    angles need no trigonometry: c = cos(theta/2) = sqrt((1 + u)/2) and
     s = sin(theta/2) = sqrt((1 - u)/2).  Then |X|^2 = p A with A = (c1 c2)^2,
     and with a = s1 c2, b = s2 c1, d = phi1 - phi2,
 
@@ -141,28 +143,42 @@ def entangling_power_mc_grid(p, spec: MonteCarloSpec) -> tuple[np.ndarray, np.nd
     complex difference.  Dividing through by 2A, the concurrence is
     p / (p + r) with r = |Y|^2 / (2A) fixed by the draws: r = +inf where
     A = 0 (concurrence 0) and r = 0 on the ridge |Y| = 0 (concurrence 1).
-    Each p then costs one add and one divide per sample.  The mean is
-    numpy's pairwise sum over n; the standard error takes the sum of squares
-    from einsum, never BLAS, so neither depends on thread counts.  Both sum
-    the concurrences times 2^k, with k putting the largest, p / (p + min r),
-    in [1/2, 1), and scale back exactly: squares of concurrences of order p
-    underflow below p of about 1e-160, and the scaled ones do not overflow
-    even on the ridge.  Exactly (0.0, 0.0) where p = 0."""
-    p, r, n = _checked_p(p), mc_draws(spec), spec.n_samples
-    means, stderrs = np.zeros(p.shape), np.zeros(p.shape)
-    conc = np.empty(n)
-    r_min = float(r.min())
-    for i, pi in enumerate(p.flat):
-        if pi == 0:  # 0/(0 + 0) on the ridge
-            continue
-        k = -math.frexp(pi / (pi + r_min))[1]
-        np.add(r, pi, out=conc)
-        np.divide(math.ldexp(pi, k), conc, out=conc)
-        total = float(conc.sum())
-        means.flat[i] = math.ldexp(total, -k) / n
-        if n > 1:  # rounding can take the one-pass sum of squares below 0
-            sq_dev = max(float(np.einsum("i,i->", conc, conc)) - total * (total / n), 0.0)
-            stderrs.flat[i] = math.ldexp(math.sqrt(sq_dev / (n - 1)), -k) / math.sqrt(n)
+    Each p then costs one add and one divide per sample, _P_CHUNK p values
+    against one block of draws at a time.  A p's sum is math.fsum of its
+    block sums, each numpy's pairwise sum of one block, and so is its sum
+    of squares, so no thread count changes them.  Both sum the concurrences
+    times 2^k, 2^k p in [1/2, 1) with k capped to keep n 4^k finite: the
+    unscaled squares of concurrences of order p underflow below p of about
+    1e-160.  Memory holds one block of draws, one chunk and n / _DRAW_BLOCK
+    sums a p, at most _SUMS_CAP of them (more p values draw again), so a
+    20-point power scan through cli.main peaks (VmHWM) at 39 MB for 4e6
+    samples as for 1e5, against 98 MB when all ratios r were held.  Exactly
+    (0.0, 0.0) where p = 0."""
+    p, n = _checked_p(p), spec.n_samples
+    means, stderrs = np.zeros(p.shape), (np.zeros(p.shape) if stderr else None)
+    pos = p > 0  # 0/(0 + 0) on the ridge
+    q = p[pos]
+    k = np.minimum(-np.frexp(q)[1], (1022 - n.bit_length()) // 2)
+    top, n_blocks = np.ldexp(q, k), -(-n // _DRAW_BLOCK)
+    group = max(1, _SUMS_CAP // n_blocks // _P_CHUNK) * _P_CHUNK
+    totals = np.empty((1 + stderr, q.size))
+    for g in range(0, q.size, group):
+        qg, tg = q[g:g + group], top[g:g + group]
+        sums, streams = np.empty((1 + stderr, qg.size, n_blocks)), _streams(spec)
+        for b in range(n_blocks):
+            r = _ratios(streams, min(_DRAW_BLOCK, n - b * _DRAW_BLOCK))
+            for c in range(0, qg.size, _P_CHUNK):
+                conc = np.add.outer(qg[c:c + _P_CHUNK], r)
+                np.divide(tg[c:c + _P_CHUNK, None], conc, out=conc)
+                sums[0, c:c + _P_CHUNK, b] = conc.sum(axis=1)
+                if stderr:
+                    sums[1, c:c + _P_CHUNK, b] = np.square(conc, out=conc).sum(axis=1)
+        totals[:, g:g + group] = sums[..., 0] if n_blocks == 1 else [  # what fsum gives one sum
+            [math.fsum(row) for row in part] for part in sums]
+    means[pos] = np.ldexp(totals[0], -k) / n
+    if stderr and n > 1:  # rounding can take the one-pass sum of squares below 0
+        sq_dev = np.maximum(totals[1] - totals[0] * (totals[0] / n), 0.0)
+        stderrs[pos] = np.ldexp(np.sqrt(sq_dev / (n - 1)), -k) / math.sqrt(n)
     return means, stderrs
 
 
@@ -172,27 +188,21 @@ def _streams(spec: MonteCarloSpec) -> list:
     return [np.random.Generator(np.random.PCG64(spec.seed).advance(k * n)) for k in range(4)]
 
 
-def mc_draws(spec: MonteCarloSpec) -> np.ndarray:
-    """The ratios r of spec's seeded draws, the same bits on every call
-    (entangling_power_mc_grid)."""
-    n = spec.n_samples
-    g1, g2, g3, g4 = _streams(spec)
-    r = np.full(n, math.inf)
-    for lo in range(0, n, _DRAW_BLOCK):
-        m = min(_DRAW_BLOCK, n - lo)
-        u1, u2 = g1.uniform(-1, 1, m), g2.uniform(-1, 1, m)
-        ph1, ph2 = g3.uniform(0, 2 * math.pi, m), g4.uniform(0, 2 * math.pi, m)
-        c1, s1 = np.sqrt((1 + u1) / 2), np.sqrt((1 - u1) / 2)
-        c2, s2 = np.sqrt((1 + u2) / 2), np.sqrt((1 - u2) / 2)
-        a, b = s1 * c2, s2 * c1
-        y_sq = (a - b) ** 2 + 4 * a * b * np.sin((ph1 - ph2) / 2) ** 2
-        two_c1c2_sq = 2 * (c1 * c2) ** 2
-        np.divide(y_sq, two_c1c2_sq, out=r[lo:lo + m], where=two_c1c2_sq > 0)
-    return r
+def _ratios(streams: list, m: int) -> np.ndarray:
+    """The ratios r of the next m of the seeded draws that streams, from
+    _streams, give (entangling_power_mc_grid)."""
+    g1, g2, g3, g4 = streams
+    u1, u2 = g1.uniform(-1, 1, m), g2.uniform(-1, 1, m)
+    ph1, ph2 = g3.uniform(0, 2 * math.pi, m), g4.uniform(0, 2 * math.pi, m)
+    c1, s1 = np.sqrt((1 + u1) / 2), np.sqrt((1 - u1) / 2)
+    c2, s2 = np.sqrt((1 + u2) / 2), np.sqrt((1 - u2) / 2)
+    a, b = s1 * c2, s2 * c1
+    y_sq = (a - b) ** 2 + 4 * a * b * np.sin((ph1 - ph2) / 2) ** 2
+    two_c1c2_sq = 2 * (c1 * c2) ** 2
+    return np.divide(y_sq, two_c1c2_sq, out=np.full(m, math.inf), where=two_c1c2_sq > 0)
 
 
 def entangling_power_mc(p: float, spec: MonteCarloSpec) -> tuple[float, float]:
     """Monte Carlo (mean, standard error) at one survival probability p."""
     mean, stderr = entangling_power_mc_grid(p, spec)
     return float(mean), float(stderr)
-

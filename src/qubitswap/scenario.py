@@ -231,7 +231,7 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
         else:  # power
             p_vals = np.clip(np.abs(e_vals) ** 2, 0.0, 1.0)
             vals = (entangling_power_grid(p_vals) if config.power_method == "quad"
-                    else entangling_power_mc_grid(p_vals, config.mc)[0])[:, None]
+                    else entangling_power_mc_grid(p_vals, config.mc, stderr=False)[0])[:, None]
         yield taus, vals
 
 

@@ -241,7 +241,8 @@ def mc_reference(p: float, spec: MonteCarloSpec) -> tuple[float, float]:
 def mc_half_angle_reference(p: float, spec: MonteCarloSpec) -> tuple[float, float]:
     """Per-p loop of the package's half-angle arithmetic, drawing its own
     samples: the concurrence is p / (p + r), r = |Y|^2 / (2 (c1 c2)^2),
-    summed scaled by the package's power of two."""
+    scaled by the package's power of two, summed by numpy over each block of
+    power._DRAW_BLOCK samples and by math.fsum over the block sums."""
     if p == 0:
         return 0.0, 0.0
     rng = np.random.default_rng(spec.seed)
@@ -257,19 +258,21 @@ def mc_half_angle_reference(p: float, spec: MonteCarloSpec) -> tuple[float, floa
     two_c1c2_sq = 2 * (c1 * c2) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(two_c1c2_sq > 0, y_sq / two_c1c2_sq, math.inf)
-    k = -math.frexp(float(np.max(p / (p + r))))[1]  # largest of 2^k·conc in [1/2, 1)
+    k = min(-math.frexp(p)[1], (1022 - n.bit_length()) // 2)  # 2^k p in [1/2, 1), n 4^k finite
     conc = math.ldexp(p, k) / (p + r)
-    total = float(np.sum(conc))
+    blocks = [conc[lo:lo + power._DRAW_BLOCK] for lo in range(0, n, power._DRAW_BLOCK)]
+    total = math.fsum(float(np.sum(block)) for block in blocks)
     if n == 1:
         return math.ldexp(total, -k), 0.0
-    sq_dev = max(float(np.einsum("i,i->", conc, conc)) - total * (total / n), 0.0)
+    squares = math.fsum(float(np.sum(block * block)) for block in blocks)
+    sq_dev = max(squares - total * (total / n), 0.0)
     return math.ldexp(total, -k) / n, math.ldexp(math.sqrt(sq_dev / (n - 1)), -k) / math.sqrt(n)
 
 
 def mc_draws_reference(spec: MonteCarloSpec) -> np.ndarray:
-    """power.mc_draws as one draw of every sample: u1 and u2 in one
-    uniform() call, then phi1 and phi2 in another, and the ratios r over the
-    whole arrays."""
+    """power._ratios of every block, joined, as one draw of every sample: u1
+    and u2 in one uniform() call, then phi1 and phi2 in another, and the
+    ratios r over the whole arrays."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
     u1, u2 = rng.uniform(-1, 1, (2, n))
@@ -285,7 +288,7 @@ def mc_draws_reference(spec: MonteCarloSpec) -> np.ndarray:
 
 
 class FixedDraws:
-    """Stands in for one of the four numpy Generators that mc_draws reads
+    """Stands in for one of the four numpy Generators that _ratios reads
     (power._streams): hands out the given values in order, as many per
     uniform() call as it asks for."""
 
@@ -540,25 +543,65 @@ class TestMonteCarlo:
             [0.1, 2, 1, 0, 3, 0.5, 1.7], [2, 0.1, 1, 3, 0, 0.5, 1.7], 2)
 
     @pytest.mark.parametrize("seed", [0, 4, 2**64 - 1])
-    @pytest.mark.parametrize("n", [1, power._DRAW_BLOCK - 1, power._DRAW_BLOCK,
-                                   power._DRAW_BLOCK + 1, 2 * power._DRAW_BLOCK + 1,
-                                   200_000, 1_000_003])
+    @pytest.mark.parametrize("n", sorted({
+        1, power._DRAW_BLOCK - 1, power._DRAW_BLOCK, power._DRAW_BLOCK + 1,
+        2 * power._DRAW_BLOCK + 1, 16_383, 16_384, 16_385, 32_769, 200_000, 1_000_003}))
     def test_blocked_draws_equal_one_shot_draw(self, seed, n):
         # each block's slice of the four advanced streams is the slice of
         # the one seeded draw, and every operation on it is elementwise
         spec = MonteCarloSpec(n_samples=n, seed=seed)
-        assert power.mc_draws(spec).tobytes() == mc_draws_reference(spec).tobytes()
+        streams, block = power._streams(spec), power._DRAW_BLOCK
+        blocks = [power._ratios(streams, min(block, n - lo)) for lo in range(0, n, block)]
+        assert np.concatenate(blocks).tobytes() == mc_draws_reference(spec).tobytes()
 
-    def test_draws_peak_is_r_and_one_block(self):
-        # 8 MB of r and about 2 MB of one block's temporaries; drawing all
-        # samples at once peaked at about 112 MB
+    def test_peak_is_one_block_and_its_sums(self):
+        # one draw block's temporaries, or one 8 x 8192 chunk and 123 block
+        # sums a p: about 1.2 MB; holding r and the concurrences of all
+        # samples peaked at about 17 MB, drawing them all at once at 112 MB
+        entangling_power_mc_grid(0.5, MonteCarloSpec(10))  # numpy's one-time allocations
         tracemalloc.start()
         try:
-            power.mc_draws(MonteCarloSpec(n_samples=1_000_000, seed=5))
+            entangling_power_mc_grid(np.linspace(0.01, 1, 17), MonteCarloSpec(1_000_000, 5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 1.5e6
+
+    @pytest.mark.parametrize("cap", [1, 100])
+    def test_mean_alone_and_redraws_keep_the_bits(self, monkeypatch, cap):
+        # 37 p values over 3 blocks of draws: with the block sums capped they
+        # are reduced in groups of 8 or 32 p values, each drawing again
+        spec = MonteCarloSpec(n_samples=2 * power._DRAW_BLOCK + 5, seed=8)
+        ps = np.linspace(0.0, 1.0, 37)
+        means, stderrs = entangling_power_mc_grid(ps, spec)
+        monkeypatch.setattr(power, "_SUMS_CAP", cap)
+        assert entangling_power_mc_grid(ps, spec, stderr=False)[0].tobytes() == means.tobytes()
+        capped = entangling_power_mc_grid(ps, spec)
+        assert capped[0].tobytes() == means.tobytes()
+        assert capped[1].tobytes() == stderrs.tobytes()
+
+    @pytest.mark.parametrize("n,expected", [
+        (power._DRAW_BLOCK - 1, [
+            7.365308113213579e-300, 7.36530807292947e-12, 0.004070228365265544,
+            0.0874419449287494, 0.17235076491314408, 0.22924066107291013, 0.2729544435377582,
+            0.30862494970895415, 0.33878068308820847, 0.3648872928355038, 0.3878814274316435,
+            0.40840251618934487, 0.4269085435646153, 0.4437397742520186]),
+        (power._DRAW_BLOCK, [
+            7.441848252342385e-300, 7.441848217471334e-12, 0.0039686695007419785,
+            0.08606600005370224, 0.17088986395120137, 0.22787245923095817, 0.2716415596614197,
+            0.3073307412924481, 0.3374802769266664, 0.36356480473446345, 0.3865269968889126,
+            0.40701025443926464, 0.4254751962266663, 0.44226385029710746]),
+        (power._DRAW_BLOCK + 1, [
+            5.396506182498527e-300, 5.396506178592532e-12, 0.004037089101972522,
+            0.0867532649498582, 0.1707716216948991, 0.22705011571517902, 0.2703215735953967,
+            0.30566480902747406, 0.33557386873964373, 0.3614917477653792, 0.3843398109729066,
+            0.40474690646820116, 0.4231635138363928, 0.4399244571246151]),
+    ])
+    def test_means_at_block_edges(self, n, expected):
+        # 14 p values, chunks of 8 and 6, against one or two blocks of draws
+        ps = np.concatenate([[1e-300, 1e-12, 1e-3], np.linspace(0.05, 1, 11)])
+        means, stderrs = entangling_power_mc_grid(ps, MonteCarloSpec(n_samples=n, seed=11), False)
+        assert means.tolist() == expected and stderrs is None
 
 
 def power_scan(params, grid, method="analytic"):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -365,6 +366,18 @@ class TestFormatCsv:
         bits = np.random.default_rng(5).integers(0, 2**64, 100_000, dtype=np.uint64)
         series = series_of(bits.view(np.float64), 4)
         assert_formats_like_reference(series)
+
+    def test_powers_of_ten_are_exact_double_doubles(self):
+        # each of the 571 scales: hi is 10^s rounded once, hi_hi + hi_lo is
+        # hi exactly, and lo is 10^s - hi rounded once
+        s_range = range(format17._S_MIN, format17._S_MAX + 1)
+        tables = format17._tables()[0]
+        assert len(s_range) == 571 and all(len(t) == 571 for t in tables)
+        for s, hi, hi_hi, hi_lo, lo in zip(s_range, *(t.tolist() for t in tables)):
+            exact = Fraction(10) ** s
+            assert hi == float(exact)
+            assert Fraction(hi_hi) + Fraction(hi_lo) == Fraction(hi)
+            assert lo == float(exact - Fraction(hi))
 
     @settings(max_examples=300)
     @given(st.lists(st.floats(), max_size=60), st.integers(1, 5))
@@ -1078,6 +1091,12 @@ def test_cli_import_leaves_out_numpy_polynomial(tmp_path):
     # src/ has no use for numpy.polynomial, which takes about 6 ms to import
     code = "import sys, qubitswap.cli; print('numpy.polynomial' in sys.modules)"
     assert run_fresh(code, tmp_path) == "False\n"
+
+
+def test_cli_import_builds_no_formatting_tables(tmp_path):
+    # format17's tables take about 2 ms; a command that writes no CSV never builds them
+    code = "import qubitswap.cli, qubitswap.format17 as f; print(f._tables.cache_info().misses)"
+    assert run_fresh(code, tmp_path) == "0\n"
 
 
 # One pass over the five grid observables at 1e5 points, in a fresh
