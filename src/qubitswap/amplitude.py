@@ -33,10 +33,9 @@ _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 # numpy's NPY_MIN_ELIDE_BYTES: the smallest temporary it reuses in place.
 _ELIDE_BYTES = 256 * 1024
 
-# Grid points per chunk of the propagator walk: each point of a chunk is one
-# array step of a block, each chunk one Python-level carry, and 24 keeps both
-# few on blocks of 501 to 4097 points.
-_WALK_CHUNK = 24
+# Grid points per row of the propagator's table: a call forms one matrix
+# exponential per row, and the grid's first call also K columns.
+_POINTS_PER_ROW = 64
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,7 @@ def build_amplitude_model(params: ModelParams) -> AmplitudeModel:
     When two roots are closer than DEGENERACY_GAP (relative to the root
     scale) the partial-fraction weights blow up; the model is flagged and
     evaluation must go through the propagator, ``amplitude_ode_oracle`` or
-    ``ode_oracle_walk``, instead.
+    ``propagator``, instead.
     """
     c = cubic_coefficients(params)
     q = solve_cubic(c)
@@ -289,17 +288,14 @@ def _exp_increments(m: np.ndarray, spans) -> np.ndarray:
 
 
 def amplitude_ode_oracle(params: ModelParams, grid: TimeGrid) -> np.ndarray:
-    """E sampled on the grid by the propagator of ode_oracle_walk, walked in
-    blocks of 4096 points so that memory holds one block."""
-    walk = ode_oracle_walk(params)
-    return np.concatenate([walk(taus) for taus in grid.tau_blocks(1 << 12)])
+    """E on the whole grid from the exact propagator (see propagator)."""
+    return propagator(params, grid)(0, grid.n_points)
 
 
-def ode_oracle_walk(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
-    """E from the exact propagator of the memory-kernel equation on a grid
-    that comes in blocks: each call takes the next block's taus and returns
-    E there, carrying the walk on, so the blocks give the bits of one call on
-    the whole grid.
+def propagator(params: ModelParams, grid: TimeGrid) -> Callable[[int, int], np.ndarray]:
+    """E at grid points lo..hi-1 from the exact propagator of the
+    memory-kernel equation, for any lo < hi: a scan asks for one block at a
+    time, and each point's bits depend on its index alone.
 
     Splitting the exponential-cosh kernel into its two exponentials gives the
     linear system dE/dtau = -(R^2/4)(z+ + z-), dz+-/dtau = E - y+- z+-, with
@@ -309,60 +305,36 @@ def ode_oracle_walk(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
         M = [[0, -g, -g], [g, -y+, 0], [g, 0, -y-]],
 
     whose Hermitian part diag(0, -Re y+, -Re y-) is negative semidefinite, so
-    exp(M tau) is a contraction.  Each span between grid points advances s by
-    exp(M span) = I + D, exactly and with no step size; one stacked call gives
-    the D of a block's distinct spans (few on a linspace grid; 0 for span 0).
-    The grid falls into chunks of _WALK_CHUNK points from its first point on,
-    and a block advances all of its chunks at once: each keeps L_j = P_j - I,
-    P_j its steps' product up to its point j, as L_j = L_{j-1} + D_j +
-    D_j L_{j-1}, so s_j = s_0 + L_j s_0 needs only the state s_0 at the
-    chunk's start, carried from chunk to chunk.  The route reads the
-    parameters, not the cubic's roots, so it is independent of the analytic
-    route and holds where those roots coincide.
+    exp(M tau) is a contraction, and E(tau) = e0' exp(M tau) e0, exactly and
+    with no step size.  Point j = c K + i of the grid (K = _POINTS_PER_ROW,
+    h the grid step) lies at t_c + i h, t_c = tau_start + c K h, and
+    exp(M (t_c + i h)) = exp(M t_c) exp(M i h): E_j is row c, e0' exp(M t_c),
+    times column i, exp(M i h) e0.  The K columns come with the first call's
+    rows, in one stacked call; every later call forms only its own rows.
+    The route reads the parameters, not the cubic's roots, so it is
+    independent of the analytic route and holds where those roots coincide.
     """
     g = params.R / 2
     m = np.array([[0, -g, -g], [g, -params.y_plus, 0], [g, 0, -params.y_minus]], dtype=complex)
-    start, inc_open = [1 + 0j, 0j, 0j], np.zeros((3, 3), dtype=complex)  # s_0, L of the open chunk
-    last, walked = 0.0, 0
+    k, div = _POINTS_PER_ROW, grid.n_points - 1
+    step = (grid.tau_end - grid.tau_start) / div if div else 0.0
+    cols = None
 
-    def walk(taus: np.ndarray) -> np.ndarray:
-        nonlocal start, inc_open, last, walked
-        if not len(taus):
-            return np.empty(0, dtype=complex)
-        size, first = len(taus), walked % _WALK_CHUNK
-        spans, where = np.unique(np.diff(taus, prepend=last), return_inverse=True)
-        table = _exp_increments(m, spans)
-        # the D of point j of chunk c is table[..., at[j, c]], padded to
-        # whole chunks: the chunks come last, so every operation runs along them
-        chunks = -(-(first + size) // _WALK_CHUNK)
-        at = np.zeros(chunks * _WALK_CHUNK, dtype=np.intp)
-        at[first:first + size] = where
-        at = at.reshape(chunks, _WALK_CHUNK).T
-        inc = np.zeros((3, 3, chunks), dtype=complex)
-        inc[..., 0] = inc_open
-        inc_row0 = np.zeros((3, _WALK_CHUNK, chunks), dtype=complex)  # padding read below
-        for j in range(_WALK_CHUNK):  # chunks lo..hi-1 hold a point at position j
-            lo, hi = int(j < first), (first + size - 1 - j) // _WALK_CHUNK + 1
-            if lo < hi:
-                dj, lj = table.take(at[j, lo:hi], axis=2), inc[..., lo:hi]
-                dl = _mul(dj, lj)
-                lj += dj
-                lj += dl
-                inc_row0[:, j, lo:hi] = lj[0]
-        starts = [start]
-        # each chunk's s_0 + L s_0 in Python complex numbers, which have the
-        # same bits whichever block a chunk ends in
-        for li in inc.transpose(2, 0, 1).tolist():
-            s0 = starts[-1]
-            starts.append([s0[r] + (li[r][0] * s0[0] + li[r][1] * s0[1] + li[r][2] * s0[2])
-                           for r in range(3)])
-        s0 = np.array(starts[:-1]).T
-        out = s0[0] + (inc_row0[0] * s0[0] + inc_row0[1] * s0[1] + inc_row0[2] * s0[2])
-        walked, last = walked + size, taus[-1]
-        if walked % _WALK_CHUNK:  # the last chunk stays open
-            start, inc_open = starts[-2], inc[..., -1].copy()
+    def points(lo: int, hi: int) -> np.ndarray:
+        nonlocal cols
+        c = np.arange(lo // k, -(-hi // k))
+        t = c * (k * step) + grid.tau_start
+        if cols is None:  # the columns ride on the first call's stack
+            inc = _exp_increments(m, np.concatenate([t, np.arange(k) * step]))
+            cols = inc[:, 0, len(t):].copy()
+            cols[0] += 1
         else:
-            start, inc_open = starts[-1], np.zeros((3, 3), dtype=complex)
-        return out.T.reshape(-1)[first:first + size]
+            inc = _exp_increments(m, t)
+        rows = inc[0, :, :len(t)]
+        rows[0] += 1
+        # elementwise products of one (rows, K) shape, so a point's bits do
+        # not depend on how many rows a call forms
+        e = rows[0][:, None] * cols[0] + rows[1][:, None] * cols[1] + rows[2][:, None] * cols[2]
+        return e.reshape(-1)[lo - c[0] * k:hi - c[0] * k]
 
-    return walk
+    return points

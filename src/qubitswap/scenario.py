@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .amplitude import ModelParams, TimeGrid, amplitude, build_amplitude_model, ode_oracle_walk
+from .amplitude import ModelParams, TimeGrid, amplitude, build_amplitude_model, propagator
 from .amplitude import amplitude_ode_oracle  # noqa: F401 (re-exported)
 from .errors import NonFiniteResult, ParseError, RangeError, UnknownFigure
 from .format17 import format_g17
@@ -200,7 +200,8 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     the grid size.  The blocks are the bits of one pass over the whole grid:
     the taus are linspace's, amplitude() takes the grid's operand order,
     Monte Carlo draws the same seeded samples for each block, and the
-    propagator walk's state is all that passes from block to block."""
+    propagator's points depend on their index in the grid alone, so the
+    running index is all that passes from block to block."""
     grid, obs = config.grid, config.observable
     rows = _CSV_CHUNK // len(COLUMNS[obs])
     last = -math.inf
@@ -210,11 +211,15 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     # An overflow inside a route is reported once, as NonFiniteResult below.
     with np.errstate(over="ignore", invalid="ignore"):
         model = build_amplitude_model(config.params)
-    walk = ode_oracle_walk(config.params) if config.method == "oracle" or model.degenerate else None
+    oracle = config.method == "oracle" or model.degenerate
+    points = propagator(config.params, grid) if oracle else None
 
+    done = 0
     for taus in grid.tau_blocks(rows):
         with np.errstate(over="ignore", invalid="ignore"):
-            e_vals = walk(taus) if walk else amplitude(model, taus, grid_size=grid.n_points)
+            e_vals = (points(done, done + len(taus)) if points
+                      else amplitude(model, taus, grid_size=grid.n_points))
+        done += len(taus)
         if not np.all(np.isfinite(e_vals)):
             raise NonFiniteResult(f"the survival amplitude overflowed for {config.params}")
         if obs == "amplitude":

@@ -1,7 +1,6 @@
 import cmath
 import math
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -9,21 +8,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qubitswap.amplitude import (
-    _WALK_CHUNK,
+    _POINTS_PER_ROW,
     ModelParams,
     TimeGrid,
     _exp_increments,
     _mul,
     amplitude,
     amplitude_ode_oracle,
-    ode_oracle_walk,
     build_amplitude_model,
     closed_form_beta0,
     cubic_coefficients,
+    propagator,
     solve_cubic,
 )
 from qubitswap.errors import DegenerateModel, RangeError
-from qubitswap.scenario import STRONG, WEAK
+from qubitswap.scenario import _CSV_CHUNK, COLUMNS, STRONG, WEAK
 
 
 def residual(c, r):
@@ -100,6 +99,12 @@ def sequential_walk_reference(params, grid):
         out.append(state[0])
         last = tau
     return np.array(out)
+
+
+def near_triple_root(beta):
+    """R^2 = 16/27 and beta*Omega = 1/sqrt(27): the cubic's three roots
+    crowd round -2/3, the closer the smaller beta."""
+    return ModelParams(R=0.769800358919501, beta=beta, Omega=0.19245008972987526 / beta)
 
 
 class TestModelParams:
@@ -342,7 +347,7 @@ class TestOdeOracle:
     def test_matrix_form_equals_step_loop(self, params, grid):
         # the propagator is exact to rounding; the RK4 loop within its error;
         # the walk one point at a time within eps per unit of phase, since
-        # the chunked walk multiplies the same steps in another order
+        # the propagator forms exp(M t_c) exp(M i h), not a product of steps
         out = amplitude_ode_oracle(params, grid)
         assert np.max(np.abs(out - exact_reference(params, grid))) < 1e-12
         assert np.max(np.abs(out - rk4_loop_reference(params, grid))) < 1e-6
@@ -357,6 +362,52 @@ class TestOdeOracle:
         err = np.max(np.abs(amplitude_ode_oracle(params, grid) - exact_reference(params, grid)))
         assert err < 1e-15 * R * grid.tau_end
 
+    @pytest.mark.parametrize("params,grid,values", [
+        (ModelParams(3000.0, 0.0, 1.5e9), TimeGrid(0.0, 5.0, 501), {
+            1: complex(-0.7086392744960590305772684980875361097633, 0.0),
+            167: complex(0.1921988272773438180278168363719974354826, 0.0),
+            335: complex(0.1854720199231721152263418455838174687584, 0.0),
+            500: complex(0.06846294183061786029024860249890608784486, 0.0),
+        }),
+        (near_triple_root(1e-9), TimeGrid(0.0, 50.0, 501), {
+            1: complex(0.9985670855041193775659971581636028333996,
+                       -4.475028744905242198965813002389973288275e-16),
+            167: complex(0.0004793146590603283086025666543552491312764,
+                         -1.141699372682875003771804139112382370811e-11),
+            335: complex(2.127919133703266451059423932052604615352e-8,
+                         -3.867669761627039320472545972336774131658e-15),
+            500: complex(7.328050153010202347386930785219635785914e-13,
+                         -4.296180221070897096368617446850859642579e-19),
+        }),
+        (near_triple_root(1e-15), TimeGrid(0.0, 50.0, 501), {
+            1: complex(0.9985670855041193775659983207534466541818,
+                       -4.719865822512291516375007006309255803024e-22),
+            167: complex(0.0004793146590603283556998438098465321668361,
+                         -1.204163851426551906207356638843764130491e-17),
+            335: complex(2.12791913370327615126436430698871394675e-8,
+                         -4.079277108879056303966802507311057255446e-21),
+            500: complex(7.328050153010572899793788452735698853388e-13,
+                         -4.531232166021593460764520237979519669556e-25),
+        }),
+        (WEAK[1], TimeGrid(0.0, 1000.0, 2001), {
+            1: complex(0.9995487117082337906313707257408729316949,
+                       -1.008066064557396730881536832711578290655e-13),
+            667: complex(0.8461290702114572557014510097125547439188,
+                         -1.6949679493971652474523779782540656271e-10),
+            1335: complex(0.7160419089946777746034103174882549272385,
+                          -2.868320747186079278302736312854075298682e-10),
+            2000: complex(0.6064093066367593109936351291469543807957,
+                          -3.638094355397219561683748816027770783845e-10),
+        }),
+    ], ids=["R-3000", "triple-1e-9", "triple-1e-15", "tau-1000"])
+    def test_pinned_to_40_digit_values(self, params, grid, values):
+        # E at grid points to 40 digits: the first entry of exp(M tau) by
+        # mpmath at 60 digits (80 agree) on the exact doubles of M and tau
+        out = amplitude_ode_oracle(params, grid)
+        phase = max(1.0, params.R, abs(params.y_plus), abs(params.y_minus)) * grid.tau_end
+        for j, exact in values.items():
+            assert abs(out[j] - exact) <= np.finfo(float).eps * phase
+
     def test_beats_the_analytic_route_near_confluence(self):
         # The root gap, 2.0e-6, is just above DEGENERACY_GAP, so scans take
         # the analytic route, whose weights carry the 1/gap conditioning.
@@ -370,33 +421,26 @@ class TestOdeOracle:
         assert abs(amplitude_ode_oracle(params, TimeGrid(0.0, 1.0, 2))[-1] - exact) <= 1e-15
         assert abs(amplitude(model, 1.0) - exact) < 1e-10  # 3.1e-11 today
 
-    @pytest.mark.parametrize("rows", [1, 2, 7, _WALK_CHUNK - 1, _WALK_CHUNK + 1, 250, 500, 4097])
+    @pytest.mark.parametrize("rows", sorted({1, 2, 7, 23, 25, _POINTS_PER_ROW - 1, _POINTS_PER_ROW + 1,
+                                             250, 500, 4097,
+                                             *(_CSV_CHUNK // len(c) for c in COLUMNS.values())}))
     def test_walk_over_blocks_equals_one_call(self, rows):
-        # the open chunk and the last tau carry across blocks, and each block
-        # takes the increments of its own spans, whether a block ends inside
-        # a chunk or not (4097 rows is a scan's amplitude block), on the
-        # analytic and on the fallback route
-        grid = TimeGrid(0.5, 20.0, 5001)
+        # a point's bits depend on its index alone, whether a block starts
+        # or ends inside a row of the table or not, in every observable's
+        # scan blocks, on the analytic and on the fallback route; the
+        # columns formed with another first row change no bit either
+        grid = TimeGrid(0.5, 20.0, 301 + 2 * rows)
         for params in (STRONG[2], ModelParams(R=1 / math.sqrt(2), beta=0.0, Omega=1.5e9)):
-            walk, one_call = ode_oracle_walk(params), ode_oracle_walk(params)
-            got = np.concatenate([walk(taus) for taus in grid.tau_blocks(rows)])
-            assert got.tobytes() == one_call(grid.taus()).tobytes()
+            points, got = propagator(params, grid), []
+            for taus in grid.tau_blocks(rows):
+                got.append(points(sum(map(len, got)), sum(map(len, got)) + len(taus)))
+            got = np.concatenate(got)
             assert got.tobytes() == amplitude_ode_oracle(params, grid).tobytes()
+            later = propagator(params, grid)
+            later(grid.n_points - 1, grid.n_points)
+            assert got[:rows].tobytes() == later(0, rows).tobytes()
 
-    def test_walk_reads_no_uninitialised_memory(self, monkeypatch):
-        # a block's first and last chunks are padded to whole chunks, whose
-        # rows are computed and then dropped; they must start from zeros, not
-        # from whatever memory held (inf there raises "invalid value" warnings)
-        grid = TimeGrid(0.5, 20.0, 101)
-        expected = amplitude_ode_oracle(STRONG[2], grid)
-        poisoned = types.SimpleNamespace(**vars(np))
-        poisoned.empty = lambda shape, dtype=float: np.full(shape, np.inf, dtype=dtype)
-        monkeypatch.setattr(sys.modules["qubitswap.amplitude"], "np", poisoned)
-        walk = ode_oracle_walk(STRONG[2])
-        got = np.concatenate([walk(taus) for taus in grid.tau_blocks(7)])
-        assert got.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("n", [1, 2, 7, _WALK_CHUNK, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 7, _POINTS_PER_ROW, 1000])
     def test_stacked_product_adds_in_order(self, n):
         # the walk's and the propagator's bits rest on this order of the sum
         rng = np.random.default_rng(n)

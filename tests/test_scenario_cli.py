@@ -906,7 +906,7 @@ class TestCliInputErrors:
             raise AssertionError("no amplitude or Monte Carlo work may run")
 
         for name in ("entangling_power_mc_grid", "build_amplitude_model", "amplitude",
-                     "ode_oracle_walk"):
+                     "propagator"):
             monkeypatch.setattr(scenario, name, no_work)
         argv = ["scan", "--R", "0.1", "--omega-ratio", "1.5e9", "--observable", "power",
                 "--power-method", "mc", "--mc-samples", "3000000",
