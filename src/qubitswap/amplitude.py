@@ -30,9 +30,6 @@ DEGENERACY_GAP = 1e-6
 # R and beta*Omega above this overflow when squared in the cubic's coefficients.
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
-# numpy's NPY_MIN_ELIDE_BYTES: the smallest temporary it reuses in place.
-_ELIDE_BYTES = 256 * 1024
-
 # Grid points per row of the propagator's table: a call forms one matrix
 # exponential per row, and the grid's first call also K columns.
 _POINTS_PER_ROW = 64
@@ -206,9 +203,8 @@ def build_amplitude_model(params: ModelParams) -> AmplitudeModel:
     )
 
 
-def amplitude(model: AmplitudeModel, tau, grid_size: int | None = None) -> complex | np.ndarray:
-    """E(tau) from the exponential sum.  Accepts a scalar or an array of taus;
-    a block of a larger grid passes its size as grid_size (see below)."""
+def amplitude(model: AmplitudeModel, tau) -> complex | np.ndarray:
+    """E(tau) from the exponential sum.  Accepts a scalar or an array of taus."""
     if model.degenerate:
         raise DegenerateModel(
             "near-degenerate roots: evaluate via amplitude_ode_oracle"
@@ -216,18 +212,10 @@ def amplitude(model: AmplitudeModel, tau, grid_size: int | None = None) -> compl
     t = np.asarray(tau, dtype=float)
     out = np.zeros(t.shape, dtype=complex)
     term = np.empty_like(out)  # a * exp(qi * t), one operation at a time in place
-    # The product keeps the operand order numpy gives ``a * np.exp(qi * t)``
-    # on the whole grid: from 256 KiB it reuses the temporary as
-    # ``exp(...) * a`` (temporary elision).  With SIMD fused multiply-adds the
-    # order moves a complex product's last bit, and with it the CSV bytes.
-    swapped = term.itemsize * (t.size if grid_size is None else grid_size) >= _ELIDE_BYTES
     for a, qi in zip(model.weights, model.roots):
         np.multiply(qi, t, out=term)
         np.exp(term, out=term)
-        if swapped:
-            np.multiply(term, a, out=term)
-        else:
-            np.multiply(a, term, out=term)
+        np.multiply(a, term, out=term)
         out += term
     if t.ndim == 0:
         return complex(out)

@@ -198,10 +198,10 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     """The scan: (taus, values) for one block of rows at a time, amplitude
     then observable on that block only, so memory holds one block whatever
     the grid size.  The blocks are the bits of one pass over the whole grid:
-    the taus are linspace's, amplitude() takes the grid's operand order,
-    Monte Carlo draws the same seeded samples for each block, and the
-    propagator's points depend on their index in the grid alone, so the
-    running index is all that passes from block to block."""
+    the taus are linspace's, amplitude() works point by point, Monte Carlo
+    draws the same seeded samples for each block, and the propagator's
+    points depend on their index in the grid alone, so the running index is
+    all that passes from block to block."""
     grid, obs = config.grid, config.observable
     rows = _CSV_CHUNK // len(COLUMNS[obs])
     last = -math.inf
@@ -217,8 +217,7 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     done = 0
     for taus in grid.tau_blocks(rows):
         with np.errstate(over="ignore", invalid="ignore"):
-            e_vals = (points(done, done + len(taus)) if points
-                      else amplitude(model, taus, grid_size=grid.n_points))
+            e_vals = points(done, done + len(taus)) if points else amplitude(model, taus)
         done += len(taus)
         if not np.all(np.isfinite(e_vals)):
             raise NonFiniteResult(f"the survival amplitude overflowed for {config.params}")

@@ -519,8 +519,8 @@ MC = {"power-method": "mc", "mc-samples": 200, "seed": 3}
 
 def block_edge_cases():
     """(observable, points, flags): the sizes where blocks begin and end,
-    16 384 points where amplitude() changes its operand order, tau_start > 0,
-    and each amplitude and power route."""
+    16 384 points where numpy would reorder an expression's complex product,
+    tau_start > 0, and each amplitude and power route."""
     for obs in scenario.OBSERVABLES:
         rows = scenario._CSV_CHUNK // len(scenario.COLUMNS[obs])
         yield obs, 1, {"tau-min": 1.25, "tau-max": 1.25}
@@ -948,7 +948,7 @@ class TestCliInputErrors:
 
     def test_non_finite_amplitude_is_numeric_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(scenario, "amplitude",
-                            lambda model, t, grid_size: np.full(len(t), np.nan + 0j))
+                            lambda model, t: np.full(len(t), np.nan + 0j))
         assert main(self.BASE) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numeric failure:")
