@@ -52,9 +52,10 @@ def _checked_abs_e(E):
     return mag
 
 
-def _survival_probability(E):
+def survival_probability(E):
+    """|E|^2, clipped to 1 where |E| exceeds 1 by round-off; a non-finite E,
+    or |E| above 1 beyond round-off, raises RangeError."""
     p = _sq(_checked_abs_e(E))
-    # |E| may exceed 1 by round-off
     return np.minimum(p, 1.0) if isinstance(p, np.ndarray) else min(p, 1.0)
 
 
@@ -86,14 +87,14 @@ def linear_entropy(theta: float, E):
     """
     if not (0 <= theta <= math.pi):
         raise RangeError(f"theta must lie in [0, pi], got {theta}")
-    p = _survival_probability(E)
+    p = survival_probability(E)
     return 2 * (1 - p) * p * math.cos(theta / 2) ** 4
 
 
 def average_linear_entropy(E):
     """Haar average of the linear entropy over initial qubit states; maximum
     1/6, attained when the survival probability is 1/2."""
-    p = _survival_probability(E)
+    p = survival_probability(E)
     return (2.0 / 3.0) * (1 - p) * p
 
 

@@ -25,6 +25,7 @@ from .measures import (
     density_populations,
     linear_entropy,
     post_bsm_projection,
+    survival_probability,
 )
 from .power import MonteCarloSpec, entangling_power_grid, entangling_power_mc_grid
 from .power import entangling_power_mc, entangling_power_quadrature  # noqa: F401 (re-exported)
@@ -233,7 +234,7 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
         elif obs == "density":
             vals = density_populations(post_bsm_projection(*config.angles, e_vals))
         else:  # power
-            p_vals = np.clip(np.abs(e_vals) ** 2, 0.0, 1.0)
+            p_vals = survival_probability(e_vals)
             vals = (entangling_power_grid(p_vals) if config.power_method == "quad"
                     else entangling_power_mc_grid(p_vals, config.mc, stderr=False)[0])[:, None]
         yield taus, vals

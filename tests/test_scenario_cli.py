@@ -27,6 +27,7 @@ from qubitswap.measures import (
     density_populations,
     linear_entropy,
     post_bsm_projection,
+    survival_probability,
 )
 from qubitswap.power import entangling_power_grid, entangling_power_mc_grid
 from qubitswap.scenario import (
@@ -503,7 +504,7 @@ def reference_run_scan(config):
         vals = density_populations(post_bsm_projection(*config.angles, e_vals))
     else:
         cols = ("tau", "power")
-        p_vals = np.clip(np.abs(e_vals) ** 2, 0.0, 1.0)
+        p_vals = survival_probability(e_vals)
         if config.power_method == "mc":
             vals = entangling_power_mc_grid(p_vals, config.mc)[0][:, None]
         else:
