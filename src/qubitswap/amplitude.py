@@ -180,8 +180,8 @@ def build_amplitude_model(params: ModelParams) -> AmplitudeModel:
 
     When two roots are closer than DEGENERACY_GAP (relative to the root
     scale) the partial-fraction weights blow up; the model is flagged and
-    evaluation must go through the propagator, ``amplitude_ode_oracle`` or
-    ``propagator``, instead.
+    evaluation must go through the propagator instead: ``propagator`` for
+    blocks of a grid, ``amplitude_ode_oracle`` for a whole grid.
     """
     c = cubic_coefficients(params)
     q = solve_cubic(c)
@@ -206,9 +206,7 @@ def build_amplitude_model(params: ModelParams) -> AmplitudeModel:
 def amplitude(model: AmplitudeModel, tau) -> complex | np.ndarray:
     """E(tau) from the exponential sum.  Accepts a scalar or an array of taus."""
     if model.degenerate:
-        raise DegenerateModel(
-            "near-degenerate roots: evaluate via amplitude_ode_oracle"
-        )
+        raise DegenerateModel("near-degenerate roots: evaluate via amplitude_ode_oracle")
     t = np.asarray(tau, dtype=float)
     out = np.zeros(t.shape, dtype=complex)
     term = np.empty_like(out)  # a * exp(qi * t), one operation at a time in place
@@ -281,9 +279,9 @@ def amplitude_ode_oracle(params: ModelParams, grid: TimeGrid) -> np.ndarray:
 
 
 def propagator(params: ModelParams, grid: TimeGrid) -> Callable[[int, int], np.ndarray]:
-    """E at grid points lo..hi-1 from the exact propagator of the
-    memory-kernel equation, for any lo < hi: a scan asks for one block at a
-    time, and each point's bits depend on its index alone.
+    """E at grid points lo..hi-1, any lo < hi, from the exact propagator of
+    the memory-kernel equation; a point's bits depend on its index alone, so
+    a scan may ask for one block at a time.
 
     Splitting the exponential-cosh kernel into its two exponentials gives the
     linear system dE/dtau = -(R^2/4)(z+ + z-), dz+-/dtau = E - y+- z+-, with
@@ -293,13 +291,12 @@ def propagator(params: ModelParams, grid: TimeGrid) -> Callable[[int, int], np.n
         M = [[0, -g, -g], [g, -y+, 0], [g, 0, -y-]],
 
     whose Hermitian part diag(0, -Re y+, -Re y-) is negative semidefinite, so
-    exp(M tau) is a contraction, and E(tau) = e0' exp(M tau) e0, exactly and
-    with no step size.  Point j = c K + i of the grid (K = _POINTS_PER_ROW,
-    h the grid step) lies at t_c + i h, t_c = tau_start + c K h, and
-    exp(M (t_c + i h)) = exp(M t_c) exp(M i h): E_j is row c, e0' exp(M t_c),
-    times column i, exp(M i h) e0.  The K columns come with the first call's
-    rows, in one stacked call; every later call forms only its own rows.
-    The route reads the parameters, not the cubic's roots, so it is
+    exp(M tau) is a contraction, and E(tau) = e0' exp(M tau) e0 exactly, with
+    no step size.  Grid point j = c K + i (K = _POINTS_PER_ROW, h the grid
+    step) lies at t_c + i h, t_c = tau_start + c K h, and exp(M (t_c + i h))
+    = exp(M t_c) exp(M i h) makes E_j row c, e0' exp(M t_c), times column i,
+    exp(M i h) e0.  The first call forms the K columns in its rows' stacked
+    call.  The route reads the parameters, not the cubic's roots, so it is
     independent of the analytic route and holds where those roots coincide.
     """
     g = params.R / 2
@@ -312,14 +309,11 @@ def propagator(params: ModelParams, grid: TimeGrid) -> Callable[[int, int], np.n
         nonlocal cols
         c = np.arange(lo // k, -(-hi // k))
         t = c * (k * step) + grid.tau_start
-        if cols is None:  # the columns ride on the first call's stack
-            inc = _exp_increments(m, np.concatenate([t, np.arange(k) * step]))
-            cols = inc[:, 0, len(t):].copy()
-            cols[0] += 1
-        else:
-            inc = _exp_increments(m, t)
+        inc = _exp_increments(m, t if cols is not None else np.r_[t, np.arange(k) * step])
+        inc[0, 0] += 1  # now the first row and column of exp(M span)
+        if cols is None:
+            cols = inc[:, 0, len(t):]
         rows = inc[0, :, :len(t)]
-        rows[0] += 1
         # elementwise products of one (rows, K) shape, so a point's bits do
         # not depend on how many rows a call forms
         e = rows[0][:, None] * cols[0] + rows[1][:, None] * cols[1] + rows[2][:, None] * cols[2]
