@@ -31,7 +31,7 @@ DEGENERACY_GAP = 1e-6
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 # Grid points per row of the propagator's table: a call forms one matrix
-# exponential per row, and the grid's first call also K columns.
+# exponential for each row it touches, and a grid's first call also K columns.
 _POINTS_PER_ROW = 64
 
 

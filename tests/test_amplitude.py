@@ -90,8 +90,8 @@ def propagator_generator(params):
 
 
 def sequential_walk_reference(params, grid):
-    """The propagator walk one grid point at a time: s = s + D s with the
-    D of each span, as exp_increment_reference forms it."""
+    """The propagator stepped along the grid one point at a time: s = s + D s
+    with the D of each span, as exp_increment_reference forms it."""
     m, state, last, out = propagator_generator(params), np.array([1, 0, 0], dtype=complex), 0.0, []
     for tau in grid.taus().tolist():
         if tau > last:
@@ -422,9 +422,9 @@ class TestOdeOracle:
         assert abs(amplitude_ode_oracle(params, TimeGrid(0.0, 1.0, 2))[-1] - exact) <= 1e-15
         assert abs(amplitude(model, 1.0) - exact) < 1e-10  # 3.1e-11 today
 
-    @pytest.mark.parametrize("rows", sorted({1, 2, 7, 23, 25, _POINTS_PER_ROW - 1, _POINTS_PER_ROW + 1,
-                                             250, 500, 4097,
-                                             *(_CSV_CHUNK // len(c) for c in COLUMNS.values())}))
+    @pytest.mark.parametrize("rows", sorted({
+        1, 2, 7, 23, 25, _POINTS_PER_ROW - 1, _POINTS_PER_ROW + 1, 250, 500, 4097,
+        *(_CSV_CHUNK // len(columns) for columns in COLUMNS.values())}))
     def test_walk_over_blocks_equals_one_call(self, rows):
         # a point's bits depend on its index alone, whether a block starts
         # or ends inside a row of the table or not, in every observable's
@@ -432,18 +432,20 @@ class TestOdeOracle:
         # columns formed with another first row change no bit either
         grid = TimeGrid(0.5, 20.0, 301 + 2 * rows)
         for params in (STRONG[2], ModelParams(R=1 / math.sqrt(2), beta=0.0, Omega=1.5e9)):
-            points, got = propagator(params, grid), []
+            points, got, lo = propagator(params, grid), [], 0
             for taus in grid.tau_blocks(rows):
-                got.append(points(sum(map(len, got)), sum(map(len, got)) + len(taus)))
+                got.append(points(lo, lo + len(taus)))
+                lo += len(taus)
             got = np.concatenate(got)
             assert got.tobytes() == amplitude_ode_oracle(params, grid).tobytes()
             later = propagator(params, grid)
             later(grid.n_points - 1, grid.n_points)
             assert got[:rows].tobytes() == later(0, rows).tobytes()
 
-    @pytest.mark.parametrize("n", [1, 2, 7, _POINTS_PER_ROW, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 7, 24, _POINTS_PER_ROW, 1000])
     def test_stacked_product_adds_in_order(self, n):
-        # the walk's and the propagator's bits rest on this order of the sum
+        # each stacked exponential's bits, and so the propagator's, rest on
+        # this order of the sum
         rng = np.random.default_rng(n)
         a, b = rng.normal(size=(2, 3, 3, n)) + 1j * rng.normal(size=(2, 3, 3, n))
         prod = a[:, :, None] * b[None]
