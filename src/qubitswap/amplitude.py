@@ -11,7 +11,6 @@ the independent cross-check and the fallback when the cubic roots are
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from collections.abc import Callable, Iterator
@@ -23,9 +22,6 @@ from .errors import DegenerateModel, RangeError
 
 # Classical-motion regime: velocity ratios at or above this are rejected.
 BETA_MAX = 1e-3
-
-# Roots closer than this (relative to the root scale) flag the model degenerate.
-DEGENERACY_GAP = 1e-6
 
 # R and beta*Omega above this overflow when squared in the cubic's coefficients.
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
@@ -178,26 +174,24 @@ class AmplitudeModel:
 def build_amplitude_model(params: ModelParams) -> AmplitudeModel:
     """Solve the cubic and form the residue weights.
 
-    When two roots are closer than DEGENERACY_GAP (relative to the root
-    scale) the partial-fraction weights blow up; the model is flagged and
+    The weights grow like 1/gap^2 as two roots close, and the analytic
+    route's error with their conditioning eps sum|A_i| scale / gap (gap the
+    two closest roots' distance, scale the largest root modulus or 1).  When
+    that exceeds 1e-12, or the gap is 0, the model is flagged degenerate and
     evaluation must go through the propagator instead: ``propagator`` for
-    blocks of a grid, ``amplitude_ode_oracle`` for a whole grid.
+    blocks of a grid, ``amplitude_ode_oracle`` for a whole grid.  At
+    beta = 0 the conditioning is about 2 eps / R^2, so every R below about
+    0.02 is flagged.
     """
     c = cubic_coefficients(params)
     q = solve_cubic(c)
     scale = max(1.0, max(abs(qi) for qi in q))
     gap = min(abs(q[i] - q[j]) for i in range(3) for j in range(i + 1, 3))
-    degenerate = gap < DEGENERACY_GAP * scale
-
     yp, ym = params.y_plus, params.y_minus
-    if degenerate:
-        weights = (0j, 0j, 0j)
-    else:
-        weights = tuple(
-            (q[i] + yp) * (q[i] + ym)
-            / ((q[i] - q[(i + 1) % 3]) * (q[i] - q[(i + 2) % 3]))
-            for i in range(3)
-        )
+    weights = (0j, 0j, 0j) if gap == 0 else tuple(
+        (q[i] + yp) * (q[i] + ym) / ((q[i] - q[(i + 1) % 3]) * (q[i] - q[(i + 2) % 3]))
+        for i in range(3))
+    degenerate = gap == 0 or sys.float_info.epsilon * sum(map(abs, weights)) * scale / gap > 1e-12
     return AmplitudeModel(
         params=params, roots=tuple(q), weights=weights, degenerate=degenerate
     )
@@ -218,32 +212,6 @@ def amplitude(model: AmplitudeModel, tau) -> complex | np.ndarray:
     if t.ndim == 0:
         return complex(out)
     return out
-
-
-def closed_form_beta0(R: float, tau: float) -> complex:
-    """Static-qubit amplitude: the cubic factors and only the damped-cavity
-    quadratic survives.  D = sqrt(1 - 2 R^2), complex in the strong-coupling
-    regime; the D -> 0 confluent limit is exp(-tau/2) (1 + tau/2)."""
-    if R <= 0:
-        raise RangeError("R must be positive")
-    if tau < 0:
-        raise RangeError("tau must be non-negative")
-    if tau == 0:
-        return 1.0 + 0j
-    d = cmath.sqrt(1 - 2 * R * R)
-    if abs(d) < 1e-12:
-        return cmath.exp(-tau / 2) * (1 + tau / 2)
-    if abs(d) * tau / 2 < 700:
-        # cosh/sinh form is stable through the confluent region d -> 0
-        return cmath.exp(-tau / 2) * (
-            cmath.cosh(d * tau / 2) + cmath.sinh(d * tau / 2) / d
-        )
-    # cosh would overflow: fold the envelope into the exponents (both have
-    # non-positive real part)
-    return 0.5 * (
-        (1 + 1 / d) * cmath.exp((d - 1) * tau / 2)
-        + (1 - 1 / d) * cmath.exp(-(d + 1) * tau / 2)
-    )
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -67,7 +67,6 @@ _BETA = (
 _DRAW_BLOCK = 8_192  # Monte Carlo samples drawn at a time; 2-D rows of 4 096 or
 # fewer took numpy's broadcast divide about half as long again per value
 _P_CHUNK = 8  # p values evaluated against one draw block as a 2-D array
-_SUMS_CAP = 1 << 19  # block sums held at a time; more p values redraw the samples
 
 
 @dataclass(frozen=True)
@@ -144,37 +143,30 @@ def entangling_power_mc_grid(p, spec: MonteCarloSpec,
     p / (p + r) with r = |Y|^2 / (2A) fixed by the draws: r = +inf where
     A = 0 (concurrence 0) and r = 0 on the ridge |Y| = 0 (concurrence 1).
     Each p then costs one add and one divide per sample, _P_CHUNK p values
-    against one block of draws at a time.  A p's sum is math.fsum of its
-    block sums, each numpy's pairwise sum of one block, and so is its sum
-    of squares, so no thread count changes them.  Both sum the concurrences
-    times 2^k, 2^k p in [1/2, 1) with k capped to keep n 4^k finite: the
-    unscaled squares of concurrences of order p underflow below p of about
-    1e-160.  Memory holds one block of draws, one chunk and n / _DRAW_BLOCK
-    sums a p, at most _SUMS_CAP of them (more p values draw again), so a
-    20-point power scan through cli.main peaks (VmHWM) at 39 MB for 4e6
-    samples as for 1e5, against 98 MB when all ratios r were held.  Exactly
-    (0.0, 0.0) where p = 0."""
+    against one block of draws at a time, and each sample is drawn once a
+    call.  A p's sum is its block sums, each numpy's pairwise sum of one
+    block, added in block order, and so is its sum of squares, so no thread
+    count changes them.  Both sum the concurrences times 2^k, 2^k p in
+    [1/2, 1) with k capped to keep n 4^k finite: the unscaled squares of
+    concurrences of order p underflow below p of about 1e-160.  Memory holds
+    one block of draws, one chunk and two running sums a p, so a 20-point
+    power scan through cli.main peaks (VmHWM) at 39 MB for 4e6 samples as
+    for 1e5, against 98 MB when all ratios r were held.  Exactly (0.0, 0.0)
+    where p = 0."""
     p, n = _checked_p(p), spec.n_samples
     means, stderrs = np.zeros(p.shape), (np.zeros(p.shape) if stderr else None)
     pos = p > 0  # 0/(0 + 0) on the ridge
     q = p[pos]
     k = np.minimum(-np.frexp(q)[1], (1022 - n.bit_length()) // 2)
-    top, n_blocks = np.ldexp(q, k), -(-n // _DRAW_BLOCK)
-    group = max(1, _SUMS_CAP // n_blocks // _P_CHUNK) * _P_CHUNK
-    totals = np.empty((1 + stderr, q.size))
-    for g in range(0, q.size, group):
-        qg, tg = q[g:g + group], top[g:g + group]
-        sums, streams = np.empty((1 + stderr, qg.size, n_blocks)), _streams(spec)
-        for b in range(n_blocks):
-            r = _ratios(streams, min(_DRAW_BLOCK, n - b * _DRAW_BLOCK))
-            for c in range(0, qg.size, _P_CHUNK):
-                conc = np.add.outer(qg[c:c + _P_CHUNK], r)
-                np.divide(tg[c:c + _P_CHUNK, None], conc, out=conc)
-                sums[0, c:c + _P_CHUNK, b] = conc.sum(axis=1)
-                if stderr:
-                    sums[1, c:c + _P_CHUNK, b] = np.square(conc, out=conc).sum(axis=1)
-        totals[:, g:g + group] = sums[..., 0] if n_blocks == 1 else [  # what fsum gives one sum
-            [math.fsum(row) for row in part] for part in sums]
+    top, streams, totals = np.ldexp(q, k), _streams(spec), np.zeros((1 + stderr, q.size))
+    for lo in range(0, n if q.size else 0, _DRAW_BLOCK):  # nothing to draw for p = 0 alone
+        r = _ratios(streams, min(_DRAW_BLOCK, n - lo))
+        for c in range(0, q.size, _P_CHUNK):
+            conc = np.add.outer(q[c:c + _P_CHUNK], r)
+            np.divide(top[c:c + _P_CHUNK, None], conc, out=conc)
+            totals[0, c:c + _P_CHUNK] += conc.sum(axis=1)
+            if stderr:
+                totals[1, c:c + _P_CHUNK] += np.square(conc, out=conc).sum(axis=1)
     means[pos] = np.ldexp(totals[0], -k) / n
     if stderr and n > 1:  # rounding can take the one-pass sum of squares below 0
         sq_dev = np.maximum(totals[1] - totals[0] * (totals[0] / n), 0.0)

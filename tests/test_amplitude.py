@@ -16,13 +16,12 @@ from qubitswap.amplitude import (
     amplitude,
     amplitude_ode_oracle,
     build_amplitude_model,
-    closed_form_beta0,
     cubic_coefficients,
     propagator,
     solve_cubic,
 )
 from qubitswap.errors import DegenerateModel, RangeError
-from qubitswap.scenario import _CSV_CHUNK, COLUMNS, STRONG, WEAK
+from qubitswap.scenario import _CSV_CHUNK, COLUMNS, STRONG, WEAK, ScenarioConfig, run_scan
 
 
 def residual(c, r):
@@ -59,6 +58,29 @@ def rk4_loop_reference(params, grid, step=1e-3):
                 zm += h / 6 * (d1[2] + 2 * d2[2] + 2 * d3[2] + d4[2])
         out.append(e)
     return np.array(out)
+
+
+def closed_form_beta0(R: float, tau: float) -> complex:
+    """Static-qubit amplitude: the cubic factors as (q + 1)(q^2 + q + R^2/2)
+    and only the damped-cavity quadratic survives.  D = sqrt(1 - 2 R^2),
+    complex in the strong-coupling regime; the D -> 0 confluent limit is
+    exp(-tau/2) (1 + tau/2)."""
+    if tau == 0:
+        return 1.0 + 0j
+    d = cmath.sqrt(1 - 2 * R * R)
+    if abs(d) < 1e-12:
+        return cmath.exp(-tau / 2) * (1 + tau / 2)
+    if abs(d) * tau / 2 < 700:
+        # cosh/sinh form is stable through the confluent region d -> 0
+        return cmath.exp(-tau / 2) * (
+            cmath.cosh(d * tau / 2) + cmath.sinh(d * tau / 2) / d
+        )
+    # cosh would overflow: fold the envelope into the exponents (both have
+    # non-positive real part)
+    return 0.5 * (
+        (1 + 1 / d) * cmath.exp((d - 1) * tau / 2)
+        + (1 - 1 / d) * cmath.exp(-(d + 1) * tau / 2)
+    )
 
 
 def exact_reference(params, grid):
@@ -236,6 +258,20 @@ class TestAmplitudeModel:
         with pytest.raises(DegenerateModel):
             amplitude(model, 1.0)
 
+    @pytest.mark.parametrize("params,degenerate", [
+        *((p, False) for p in WEAK + STRONG),  # conditioning 4.5e-14 (WEAK[0]), else 2.2e-16
+        (ModelParams(3000.0, 0.0, 1.5e9), False),
+        (ModelParams(1000.0, 5e-7, 1.5e9), False),  # beta*Omega = 750
+        (ModelParams(R=2e-3, beta=1e-8, Omega=0.05), True),  # 1.1e-10
+        *((near_triple_root(b), True) for b in (1e-9, 1e-12, 1e-15)),  # 7.4e-8 to 7.1e-2
+        (ModelParams(0.0215, 0.0, 1.0), False),  # at beta = 0 about 2 eps / R^2
+        (ModelParams(0.021, 0.0, 1.0), True),
+    ])
+    def test_routed_by_conditioning(self, params, degenerate):
+        # analytic only where the weights' conditioning eps sum|A_i| scale / gap
+        # is at most 1e-12; a fixed root gap of 1e-6 let every flagged one here through
+        assert build_amplitude_model(params).degenerate == degenerate
+
     @pytest.mark.parametrize("R", [1.5223437009626503e-4, 1.1845575740339161e-4])
     def test_double_root_at_small_r_is_flagged(self, R):
         # the cubic is (q + 1)(q^2 + q + R^2/2): two roots about 1e-8 apart.
@@ -410,17 +446,18 @@ class TestOdeOracle:
             assert abs(out[j] - exact) <= np.finfo(float).eps * phase
 
     def test_beats_the_analytic_route_near_confluence(self):
-        # The root gap, 2.0e-6, is just above DEGENERACY_GAP, so scans take
-        # the analytic route, whose weights carry the 1/gap conditioning.
-        # E(1) to 40 digits: the first entry of exp(M) by mpmath at 60 digits
-        # on the exact doubles, which the 60-digit exponential sum matches.
+        # The root gap, 2.0e-6, leaves the weights' conditioning at 1.1e-10,
+        # so the model is flagged and scans take the propagator; the
+        # analytic route was off by 3.1e-11 at tau = 1.  E(1) to 40 digits:
+        # the first entry of exp(M) by mpmath at 60 digits on the exact
+        # doubles, which the 60-digit exponential sum matches.
         params = ModelParams(R=2e-3, beta=1e-8, Omega=0.05)
         exact = complex(0.9999992642412315860492299350202176718187,
                         -4.667384651355145394772226920414679652585e-25)
-        model = build_amplitude_model(params)
-        assert not model.degenerate
-        assert abs(amplitude_ode_oracle(params, TimeGrid(0.0, 1.0, 2))[-1] - exact) <= 1e-15
-        assert abs(amplitude(model, 1.0) - exact) < 1e-10  # 3.1e-11 today
+        assert build_amplitude_model(params).degenerate
+        config = ScenarioConfig(params, TimeGrid(0.0, 1.0, 2), "amplitude")
+        re, im, _ = run_scan(config).values[-1]
+        assert abs(complex(re, im) - exact) <= 1e-15
 
     @pytest.mark.parametrize("rows", sorted({
         1, 2, 7, 23, 25, _POINTS_PER_ROW - 1, _POINTS_PER_ROW + 1, 250, 500, 4097,

@@ -242,7 +242,7 @@ def mc_half_angle_reference(p: float, spec: MonteCarloSpec) -> tuple[float, floa
     """Per-p loop of the package's half-angle arithmetic, drawing its own
     samples: the concurrence is p / (p + r), r = |Y|^2 / (2 (c1 c2)^2),
     scaled by the package's power of two, summed by numpy over each block of
-    power._DRAW_BLOCK samples and by math.fsum over the block sums."""
+    power._DRAW_BLOCK samples, and the block sums added in block order."""
     if p == 0:
         return 0.0, 0.0
     rng = np.random.default_rng(spec.seed)
@@ -261,10 +261,12 @@ def mc_half_angle_reference(p: float, spec: MonteCarloSpec) -> tuple[float, floa
     k = min(-math.frexp(p)[1], (1022 - n.bit_length()) // 2)  # 2^k p in [1/2, 1), n 4^k finite
     conc = math.ldexp(p, k) / (p + r)
     blocks = [conc[lo:lo + power._DRAW_BLOCK] for lo in range(0, n, power._DRAW_BLOCK)]
-    total = math.fsum(float(np.sum(block)) for block in blocks)
+    total = squares = 0.0
+    for block in blocks:
+        total += float(np.sum(block))
+        squares += float(np.sum(block * block))
     if n == 1:
         return math.ldexp(total, -k), 0.0
-    squares = math.fsum(float(np.sum(block * block)) for block in blocks)
     sq_dev = max(squares - total * (total / n), 0.0)
     return math.ldexp(total, -k) / n, math.ldexp(math.sqrt(sq_dev / (n - 1)), -k) / math.sqrt(n)
 
@@ -555,8 +557,8 @@ class TestMonteCarlo:
         assert np.concatenate(blocks).tobytes() == mc_draws_reference(spec).tobytes()
 
     def test_peak_is_one_block_and_its_sums(self):
-        # one draw block's temporaries, or one 8 x 8192 chunk and 123 block
-        # sums a p: about 1.2 MB; holding r and the concurrences of all
+        # one draw block's temporaries, or one 8 x 8192 chunk and two running
+        # sums a p: about 1.1 MB; holding r and the concurrences of all
         # samples peaked at about 17 MB, drawing them all at once at 112 MB
         entangling_power_mc_grid(0.5, MonteCarloSpec(10))  # numpy's one-time allocations
         tracemalloc.start()
@@ -567,18 +569,29 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 1.5e6
 
-    @pytest.mark.parametrize("cap", [1, 100])
-    def test_mean_alone_and_redraws_keep_the_bits(self, monkeypatch, cap):
-        # 37 p values over 3 blocks of draws: with the block sums capped they
-        # are reduced in groups of 8 or 32 p values, each drawing again
+    def test_mean_alone_keeps_the_bits(self):
+        # 37 p values, chunks of 8 and 5, over 3 blocks of draws: skipping the
+        # sums of squares changes no mean
         spec = MonteCarloSpec(n_samples=2 * power._DRAW_BLOCK + 5, seed=8)
         ps = np.linspace(0.0, 1.0, 37)
-        means, stderrs = entangling_power_mc_grid(ps, spec)
-        monkeypatch.setattr(power, "_SUMS_CAP", cap)
+        means = entangling_power_mc_grid(ps, spec)[0]
         assert entangling_power_mc_grid(ps, spec, stderr=False)[0].tobytes() == means.tobytes()
-        capped = entangling_power_mc_grid(ps, spec)
-        assert capped[0].tobytes() == means.tobytes()
-        assert capped[1].tobytes() == stderrs.tobytes()
+
+    def test_each_sample_drawn_once_a_call(self, monkeypatch):
+        # 600 p values against 1024 blocks of one sample: more block sums
+        # than 2^19 once made a call draw every sample again per group of p
+        monkeypatch.setattr(power, "_DRAW_BLOCK", 1)
+        monkeypatch.setattr(power, "_P_CHUNK", 256)
+        streams, drawn = power._streams, []
+        monkeypatch.setattr(power, "_streams", lambda spec: drawn.append(spec) or streams(spec))
+        ratios, sizes = power._ratios, []
+        monkeypatch.setattr(power, "_ratios", lambda g, m: sizes.append(m) or ratios(g, m))
+        spec = MonteCarloSpec(n_samples=1024, seed=6)
+        ps = np.linspace(0.0, 1.0, 600)
+        means, stderrs = entangling_power_mc_grid(ps, spec)
+        assert drawn == [spec] and sizes == [1] * 1024
+        for p, mean, stderr in list(zip(ps, means, stderrs))[::150]:
+            assert (mean, stderr) == mc_half_angle_reference(float(p), spec)
 
     @pytest.mark.parametrize("n,expected", [
         (power._DRAW_BLOCK - 1, [

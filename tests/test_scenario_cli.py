@@ -804,6 +804,22 @@ class TestCliMain:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert rows and all(row.split(",")[1] == "1" for row in rows)
 
+    @pytest.mark.parametrize("beta", [1e-9, 1e-12, 1e-15])
+    def test_near_triple_root_takes_the_propagator(self, capsys, beta):
+        # R^2 = 16/27 and beta*Omega = 1/sqrt(27): the roots crowd round -2/3.
+        # The analytic route gave E(0) = 1.0000003576278687 at beta = 1e-15,
+        # and entropy-avg and power exited 1 on that |E| > 1.
+        model = ["--R", "0.769800358919501", "--beta", repr(beta),
+                 "--omega-ratio", repr(0.19245008972987526 / beta), "--tau-steps", "101",
+                 "--theta1", "1.5707963267948966", "--theta2", "0.78539816339744828"]
+        for obs in scenario.OBSERVABLES:
+            assert main(["scan", *model, "--observable", obs]) == 0
+            lines = capsys.readouterr().out.splitlines()[1:]
+            values = np.array([line.split(",") for line in lines], dtype=float)
+            assert values.shape[0] == 101 and np.all(np.isfinite(values))
+            if obs == "amplitude":
+                assert lines[0] == "0,1,0,1" and np.all(values[:, 3] <= 1)
+
     def test_both_qubits_in_the_ground_state_is_numeric_failure(self, capsys):
         pi = repr(math.pi)
         code = main(
