@@ -570,16 +570,16 @@ class TestMonteCarlo:
         assert peak < 1.5e6
 
     def test_mean_alone_keeps_the_bits(self):
-        # 37 p values, chunks of 8 and 5, over 3 blocks of draws: skipping the
-        # sums of squares changes no mean
+        # 36 positive p values, chunks of 8 and 4, over 3 blocks of draws:
+        # skipping the sums of squares changes no mean
         spec = MonteCarloSpec(n_samples=2 * power._DRAW_BLOCK + 5, seed=8)
         ps = np.linspace(0.0, 1.0, 37)
         means = entangling_power_mc_grid(ps, spec)[0]
         assert entangling_power_mc_grid(ps, spec, stderr=False)[0].tobytes() == means.tobytes()
 
     def test_each_sample_drawn_once_a_call(self, monkeypatch):
-        # 600 p values against 1024 blocks of one sample: more block sums
-        # than 2^19 once made a call draw every sample again per group of p
+        # 600 p values against 1024 blocks of one sample, more block sums
+        # than 2^19: still one set of streams and one draw of each sample
         monkeypatch.setattr(power, "_DRAW_BLOCK", 1)
         monkeypatch.setattr(power, "_P_CHUNK", 256)
         streams, drawn = power._streams, []
