@@ -2,7 +2,9 @@
 entanglement swapped between two such qubits by a Bell-state measurement.
 
 The names below are the documented API (README, "Library"); the modules
-hold the rest, such as ``qubitswap.scenario`` for scans and presets."""
+hold the rest, such as ``qubitswap.scenario`` for scans and presets.  The
+function ``amplitude`` hides its module of the same name, so reach that
+module with ``importlib.import_module("qubitswap.amplitude")``."""
 
 from types import ModuleType as _ModuleType
 

@@ -19,6 +19,7 @@ _LIMIT = 1e280  # keeps |x|·2^27 and 10^s·2^27 finite and normal
 _S_MIN, _S_MAX = -270, 300  # the powers of ten the scaling can need
 _E_OFF = 300  # table row of exponent e
 _WORD = np.dtype("<u8")
+_SLICE = 1 << 10  # values whose words are copied and stripped of NULs at a time
 
 
 def _split(a):
@@ -94,7 +95,7 @@ def format_g17(block: np.ndarray) -> bytes:
     separated by commas, ended by a newline.
 
     Each block-sized temporary is written over or dropped once used, so the
-    peak is the end: the six words a value, their copy and its translation."""
+    peak is the end: the six words a value and the text, translated _SLICE values at a time."""
     pow10, group, zeros, lead, suffix, int_last, keep = _tables()
     v = np.ascontiguousarray(block, dtype=np.float64).ravel()
     a = np.abs(v)
@@ -163,4 +164,5 @@ def format_g17(block: np.ndarray) -> bytes:
     for i in slow:
         flat[i, :5] = np.array([b"%.17g" % float(v[i])], "S40").view(_WORD)
         flat[i, 5] &= 0xFF << 40
-    return words.tobytes().translate(None, b"\0")
+    return b"".join(flat[i:i + _SLICE].tobytes().translate(None, b"\0")
+                    for i in range(0, len(flat), _SLICE))

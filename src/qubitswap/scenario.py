@@ -39,7 +39,9 @@ COLUMNS = {  # observable -> CSV columns
     "density": ("tau", "pop_ee", "pop_eg", "pop_ge", "pop_gg"),
 }
 OBSERVABLES = tuple(COLUMNS)
-_CSV_CHUNK = 1 << 14  # values formatted per numpy pass
+_CSV_CHUNK = 1 << 14  # values per scan block: amplitude, observable and power calls
+_CSV_PIECE = 1 << 13  # values per format_g17 call: its ~1 MB working set fits an L2
+_PHASE_MAX = 1e-3 / sys.float_info.epsilon  # R*tau_end/sqrt(2) whose rounding error is 1e-3
 
 
 @dataclass(frozen=True)
@@ -204,6 +206,10 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     points depend on their index in the grid alone, so the running index is
     all that passes from block to block."""
     grid, obs = config.grid, config.observable
+    phase = config.params.R * grid.tau_end / math.sqrt(2)
+    if phase > _PHASE_MAX:
+        raise RangeError(f"R*tau_end/sqrt(2) = {phase:.3g} exceeds {_PHASE_MAX:.3g}, where "
+                         "the phase of the survival amplitude is uncertain by about 1e-3")
     rows = _CSV_CHUNK // len(COLUMNS[obs])
     last = -math.inf
     for taus in grid.tau_blocks(rows):  # fail before any amplitude or power work
@@ -250,9 +256,9 @@ def run_scan(config: ScenarioConfig) -> TimeSeries:
 def _csv_chunks(columns, blocks) -> Iterator[bytes]:
     """The CSV as ASCII blocks: the header line, then one line per tau with
     every value as ``{:.17g}``, formatted by ``format_g17`` about
-    ``_CSV_CHUNK`` values at a time from each block of (taus, values)."""
+    ``_CSV_PIECE`` values at a time from each block of (taus, values)."""
     yield (",".join(columns) + "\n").encode()
-    rows = max(1, _CSV_CHUNK // len(columns))
+    rows = max(1, _CSV_PIECE // len(columns))
     for taus, values in blocks:
         for i in range(0, len(taus), rows):
             yield format_g17(np.column_stack([taus[i:i + rows], values[i:i + rows]]))

@@ -391,19 +391,28 @@ class TestStreamedCsv:
     """emit_csv writes the CSV block by block; the bytes must not depend on
     where the blocks end, and memory must not grow with the text."""
 
-    SLOW = [2.0**-25, 43 * 2.0**-22, math.inf, -math.inf, math.nan, 1e300, -0.0]
+    SLOW = [2.0**-25, 43 * 2.0**-22, math.inf, -math.inf, math.nan, 1e300, 1e-300, -0.0]
 
     def edge_series(self):
-        """More than two chunks and a partial last one, with values that take
-        the formatter's per-value path on the first and last row of each."""
+        """More than three scan blocks of density rows, with a partial last
+        block and a partial last format piece, and values that take the
+        formatter's per-value path on the first and last row of each block,
+        each piece and each slice whose NULs are dropped together."""
         width = 4
-        rows = scenario._CSV_CHUNK // (width + 1)
-        n = 3 * rows + rows // 2
+        block = scenario._CSV_CHUNK // (width + 1)
+        piece = scenario._CSV_PIECE // (width + 1)
+        n = 3 * block + block // 2 + piece // 3
         rng = np.random.default_rng(11)
         values = rng.standard_normal((n, width)) * 10 ** rng.uniform(-20, 20, (n, width))
-        edges = sorted({0, n - 1} | {k * rows + d for k in range(1, 4) for d in (-1, 0)})
+        edges = {k * block + d for k in range(1, 4) for d in (-1, 0)}
+        for start in range(0, n, piece):  # block is a whole number of pieces
+            size = min(piece, n - start) * (width + 1)
+            for lo in range(0, size, format17._SLICE):
+                hi = min(lo + format17._SLICE, size)
+                edges |= {start + lo // (width + 1), start + (hi - 1) // (width + 1)}
+        assert n % piece and block % piece == 0 and n - 1 in edges
         slow = iter(self.SLOW * len(edges))
-        for i in edges:
+        for i in sorted(edges):
             values[i] = [next(slow) for _ in range(width)]
         return series_of(values.ravel(), width)
 
@@ -438,8 +447,9 @@ class TestStreamedCsv:
         assert path.read_bytes() == reference_format_csv(run_scan(config)).encode()
 
     def test_peak_memory_is_a_few_chunks(self, tmp_path):
-        # About 16 MB of CSV.  Formatting one chunk takes about 4 MB of
-        # temporaries; holding the whole text at once takes 2.4 times its size.
+        # About 16 MB of CSV.  Formatting one piece takes about 1.1 MB
+        # (2.5 MB with whole blocks and their words copied whole); holding
+        # the whole text at once takes 2.4 times its size.
         n = 200_000
         rng = np.random.default_rng(3)
         series = TimeSeries(("tau", "a", "b", "c"), np.linspace(0.0, 50.0, n),
@@ -453,26 +463,28 @@ class TestStreamedCsv:
         finally:
             tracemalloc.stop()
         assert (tmp_path / "big.csv").stat().st_size > 15e6
-        assert peak < 9e6
+        assert peak < 1.5e6
 
-    def test_one_block_peak_memory(self):
-        # A full block of _CSV_CHUNK values peaked at 4.05 MB while about 30
-        # block-sized temporaries lived until the end; now the peak is the
-        # final copies of the six words a value (3 x 0.79 MB).
+    def test_one_block_peak_memory(self, tmp_path):
+        # One scan block of _CSV_CHUNK values, written as emit_csv writes it,
+        # peaks at 1.12 MB: a piece of _CSV_PIECE values as six words each
+        # (0.39 MB) and its text, whose NULs are dropped format17._SLICE
+        # values at a time.  Formatted whole, with the words copied whole
+        # before translate, the block peaked at 2.50 MB.
         rows = scenario._CSV_CHUNK // 4
         rng = np.random.default_rng(3)
-        block = np.column_stack([np.linspace(0.0, 50.0, rows), rng.uniform(-1.0, 1.0, (rows, 3))])
-        want = format17.format_g17(block)  # also builds format17's tables
+        series = TimeSeries(("tau", "a", "b", "c"), np.linspace(0.0, 50.0, rows),
+                            rng.uniform(-1.0, 1.0, (rows, 3)))
+        write_chunks(series_of([1.0], 1), tmp_path / "warm.csv")  # format17's tables
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            text = format17.format_g17(block)
+            write_chunks(series, tmp_path / "block.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert text == want == "".join(",".join(f"{v:.17g}" for v in row) + "\n"
-                                       for row in block).encode()
-        assert peak <= 2.5e6
+        assert (tmp_path / "block.csv").read_bytes() == reference_format_csv(series).encode()
+        assert peak <= 1.2e6
 
 
 def reference_run_scan(config):
@@ -589,6 +601,28 @@ class TestScanMemoryAndFailures:
         finally:
             path.unlink(missing_ok=True)
         assert peak < 8e6
+
+    def test_fallback_scan_calls_the_propagator_once_a_block(self, monkeypatch):
+        # A scan block stays 16 384 values (written out here, not read from
+        # _CSV_CHUNK) while the formatter takes it in pieces: each points()
+        # call pays about 0.2 ms of fixed cost, and halving the block made a
+        # 1e6-point fallback density scan 15-20 % slower.
+        real, calls = scenario.propagator, []
+
+        def counting(params, grid):
+            points = real(params, grid)
+
+            def counted(lo, hi):
+                calls.append(hi - lo)
+                return points(lo, hi)
+            return counted
+
+        monkeypatch.setattr(scenario, "propagator", counting)
+        n, rows = 100_000, (1 << 14) // 5
+        flags = {**SCAN_FLAGS, **DEGENERATE, "observable": "density", "tau-steps": n,
+                 "out": os.devnull}
+        assert main(scan_argv(flags)) == 0
+        assert len(calls) == math.ceil(n / rows) == 31 and sum(calls) == n
 
     def test_oracle_scan_peak_does_not_grow(self, tmp_path):
         path = tmp_path / "oracle.csv"
@@ -973,11 +1007,41 @@ class TestCliInputErrors:
     @pytest.mark.parametrize("R", ["1e50", "1e110", "1e150"])
     def test_overflowing_amplitude_is_one_line(self, capsys, R):
         # the analytic route overflows from about R = 1e50 (solve_cubic's
-        # Newton polish, amplitude's exp) and must not warn on the way
-        assert main(self.with_flag(self.BASE, "--R", R)) == 2
+        # Newton polish, amplitude's exp) and must not warn on the way.  On
+        # [0, 50] the phase bound stops these R first; on a grid short enough
+        # to pass it, R = 1e110 and 1e150 still overflow at every tau, while
+        # R = 1e50 overflows only beyond the bound.
+        argv = self.with_flag(self.BASE, "--R", R)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: R*tau_end/sqrt(2)")
+        assert main(self.with_flag(argv, "--tau-max", "1e-150")) == (0 if R == "1e50" else 2)
+        err = capsys.readouterr().err
+        assert err == "" if R == "1e50" else (
+            err.count("\n") == 1
+            and err.startswith("numeric failure: the survival amplitude overflowed"))
+
+    def test_phase_bound(self, capsys):
+        # Beyond R*tau_end/sqrt(2) = 1e-3/eps (4.5e12) the phase of E is
+        # uncertain by more than 1e-3: R = 1e100 gave finite, meaningless
+        # values.  Inside it E is real within that uncertainty at beta = 0.
+        argv = ["scan", "--R", "1e100", "--omega-ratio", "1.5e9", "--observable", "entropy",
+                "--tau-steps", "3", "--out", "-"]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("numeric failure: the survival amplitude overflowed")
+        assert err.startswith("error: R*tau_end/sqrt(2) = 3.54e+101 exceeds 4.5e+12")
+        for R, tau_max, code in (("1e10", "50", 0), ("1e12", "1", 0), ("1e12", "50", 1)):
+            argv = self.with_flag(self.with_flag(self.BASE, "--R", R), "--tau-max", tau_max)
+            assert main(argv) == code
+            out, err = capsys.readouterr()
+            if code:
+                assert err.count("\n") == 1 and err.startswith("error: R*tau_end/sqrt(2)")
+                continue
+            assert err == ""
+            rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+            assert len(rows) == 11 and np.all(np.isfinite(rows))
+            assert np.max(np.abs(rows[:, 2])) < 1e-3  # Im E; 9.6e-8 at R = 1e10, tau = 1
 
     @pytest.mark.parametrize("error", QubitSwapError.__subclasses__(), ids=lambda e: e.__name__)
     def test_every_package_error_is_one_line(self, capsys, monkeypatch, error):
