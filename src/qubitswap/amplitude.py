@@ -25,6 +25,7 @@ BETA_MAX = 1e-3
 
 # R and beta*Omega above this overflow when squared in the cubic's coefficients.
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
+_PHASE_MAX = 1e-3 / sys.float_info.epsilon  # R*tau/sqrt(2) whose rounding error is 1e-3
 
 # Grid points per row of the propagator's table: a call forms one matrix
 # exponential for each row it touches, and a grid's first call also K columns.
@@ -134,6 +135,13 @@ class TimeGrid:
             yield y
 
 
+def check_phase(R: float, tau_max: float) -> None:
+    """RangeError where the phase R*tau_max/sqrt(2) exceeds _PHASE_MAX."""
+    if (phase := R * tau_max / math.sqrt(2)) > _PHASE_MAX:
+        raise RangeError(f"R*tau_end/sqrt(2) = {phase:.3g} exceeds {_PHASE_MAX:.3g}, where "
+                         "the phase of the survival amplitude is uncertain by about 1e-3")
+
+
 def cubic_coefficients(params: ModelParams) -> CubicCoefficients:
     """Characteristic cubic of the Laplace-domain amplitude."""
     yp, ym = params.y_plus, params.y_minus
@@ -202,6 +210,7 @@ def amplitude(model: AmplitudeModel, tau) -> complex | np.ndarray:
     if model.degenerate:
         raise DegenerateModel("near-degenerate roots: evaluate via amplitude_ode_oracle")
     t = np.asarray(tau, dtype=float)
+    check_phase(model.params.R, np.abs(t).max(initial=0.0))
     out = np.zeros(t.shape, dtype=complex)
     term = np.empty_like(out)  # a * exp(qi * t), one operation at a time in place
     for a, qi in zip(model.weights, model.roots):
@@ -267,6 +276,7 @@ def propagator(params: ModelParams, grid: TimeGrid) -> Callable[[int, int], np.n
     call.  The route reads the parameters, not the cubic's roots, so it is
     independent of the analytic route and holds where those roots coincide.
     """
+    check_phase(params.R, grid.tau_end)
     g = params.R / 2
     m = np.array([[0, -g, -g], [g, -params.y_plus, 0], [g, 0, -params.y_minus]], dtype=complex)
     k, div = _POINTS_PER_ROW, grid.n_points - 1

@@ -78,6 +78,7 @@ def _cmd_scan(args) -> int:
     if args.config is not None:
         file_text = args.config.read_text(encoding="utf-8")
     flags = {key: getattr(args, key.replace("-", "_")) for key in OPTIONS}
+    flags = {k: "--" if v == [] else v for k, v in flags.items()}  # "--k=--" gave [] before 3.13
     config = parse_config(flags, file_text=file_text)
     emit_csv(config, config.out)
     return EXIT_OK

@@ -16,8 +16,7 @@ class DegenerateModel(QubitSwapError):
 
 
 class ZeroNorm(QubitSwapError):
-    """Bell-measurement projection has vanishing success probability: X = Y = 0
-    for the closed-form measures, N below ZERO_NORM_EPS for density_matrix."""
+    """Bell-measurement projection has vanishing success probability: X = Y = 0."""
 
 
 class NonPhysicalInput(QubitSwapError):

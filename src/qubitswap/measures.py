@@ -9,7 +9,7 @@ written once; only the primitives below choose between the scalar and the
 array operation, and the two agree bit for bit, so an array element equals
 the scalar result for the same E.  The concurrence and the populations share
 one formula, exact for identical initial states: concurrence 1 at every E != 0.
-The spin-flip route takes a batch of states as one stack of density matrices.
+The spin-flip route stacks matrices scaled alike; only X = Y = 0 is ZeroNorm.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPhysicalInput, RangeError, ZeroNorm
-
-ZERO_NORM_EPS = 1e-30
 
 # Basis order for all 4x4 matrices: |ee>, |eg>, |ge>, |gg>.
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
@@ -143,20 +141,19 @@ def post_bsm_projection(q1: BlochAngles, q2: BlochAngles, E) -> PostBsmState:
     return PostBsmState(*(v if isinstance(v, np.ndarray) else complex(v) for v in (x, y)))
 
 
-def _checked_norm(s: PostBsmState):
-    n = s.N
-    if not _all(n >= ZERO_NORM_EPS):
+def _moduli(s: PostBsmState):
+    """|X|, |Y| and m, the larger of the two; m = 0 (X = Y = 0) raises ZeroNorm."""
+    a, b = _abs(s.X), _abs(s.Y)
+    m = np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
+    if not _all(m > 0):
         raise ZeroNorm("projection has vanishing success probability")
-    return n
+    return a, b, m
 
 
 def _fractions(s: PostBsmState):
     """(2|X|^2, |Y|^2)/N from a = |X|/m, b = |Y|/m, m the larger modulus: the
     denominator 2a^2 + b^2 is at least 1, and Y = 0 gives exactly (1, 0)."""
-    a, b = _abs(s.X), _abs(s.Y)
-    m = np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
-    if not _all(m > 0):
-        raise ZeroNorm("projection has vanishing success probability")
+    a, b, m = _moduli(s)
     # rebinding a, b and m frees each batch-sized array as soon as it is used
     a, b = a / m, b / m
     a, b = 2 * a * a, b * b
@@ -203,10 +200,13 @@ class DensityMatrix4:
 
 
 def density_matrix(s: PostBsmState) -> DensityMatrix4:
-    """Outer product of the normalized post-measurement amplitude vector
-    (0, X, -X, Y)/sqrt(N); a batched state gives one matrix per entry."""
+    """Outer product of (0, X, -X, Y)/sqrt(N), one matrix per batch entry, with X and Y
+    first scaled exactly by a power of two to max(|X|, |Y|) in [1/2, 1): N cannot underflow."""
+    e = -np.frexp(_moduli(s)[2])[1]
     x, y = np.broadcast_arrays(np.asarray(s.X, dtype=complex), s.Y)
-    vec = np.stack([np.zeros_like(x), x, -x, y], axis=-1) / np.sqrt(_checked_norm(s))[..., None]
+    vec = np.stack([np.zeros_like(x), x, -x, y], axis=-1)
+    np.ldexp(vec.view(float), e[..., None], out=vec.view(float))  # real and imaginary parts
+    vec /= np.sqrt(2 * _sq(_abs(vec[..., 1])) + _sq(_abs(vec[..., 3])))[..., None]
     return DensityMatrix4(vec[..., :, None] * vec[..., None, :].conj())
 
 

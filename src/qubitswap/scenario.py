@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .amplitude import ModelParams, TimeGrid, amplitude, build_amplitude_model, propagator
+from .amplitude import (ModelParams, TimeGrid, amplitude, build_amplitude_model, check_phase,
+                        propagator)
 from .amplitude import amplitude_ode_oracle  # noqa: F401 (re-exported)
 from .errors import NonFiniteResult, ParseError, RangeError, UnknownFigure
 from .format17 import format_g17
@@ -41,7 +42,6 @@ COLUMNS = {  # observable -> CSV columns
 OBSERVABLES = tuple(COLUMNS)
 _CSV_CHUNK = 1 << 14  # values per scan block: amplitude, observable and power calls
 _CSV_PIECE = 1 << 13  # values per format_g17 call: its ~1 MB working set fits an L2
-_PHASE_MAX = 1e-3 / sys.float_info.epsilon  # R*tau_end/sqrt(2) whose rounding error is 1e-3
 
 
 @dataclass(frozen=True)
@@ -203,13 +203,10 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     the grid size.  The blocks are the bits of one pass over the whole grid:
     the taus are linspace's, amplitude() works point by point, Monte Carlo
     draws the same seeded samples for each block, and the propagator's
-    points depend on their index in the grid alone, so the running index is
-    all that passes from block to block."""
+    points depend on their index in the grid alone, so the running index is all
+    that passes from block to block.  Every check runs before it returns."""
     grid, obs = config.grid, config.observable
-    phase = config.params.R * grid.tau_end / math.sqrt(2)
-    if phase > _PHASE_MAX:
-        raise RangeError(f"R*tau_end/sqrt(2) = {phase:.3g} exceeds {_PHASE_MAX:.3g}, where "
-                         "the phase of the survival amplitude is uncertain by about 1e-3")
+    check_phase(config.params.R, grid.tau_end)
     rows = _CSV_CHUNK // len(COLUMNS[obs])
     last = -math.inf
     for taus in grid.tau_blocks(rows):  # fail before any amplitude or power work
@@ -221,29 +218,31 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     oracle = config.method == "oracle" or model.degenerate
     points = propagator(config.params, grid) if oracle else None
 
-    done = 0
-    for taus in grid.tau_blocks(rows):
-        with np.errstate(over="ignore", invalid="ignore"):
-            e_vals = points(done, done + len(taus)) if points else amplitude(model, taus)
-        done += len(taus)
-        if not np.all(np.isfinite(e_vals)):
-            raise NonFiniteResult(f"the survival amplitude overflowed for {config.params}")
-        if obs == "amplitude":
-            vals = np.column_stack([e_vals.real, e_vals.imag, np.abs(e_vals)])
-        elif obs == "entropy":
-            theta = config.angles[0].theta if config.angles else 0.0
-            vals = linear_entropy(theta, e_vals)[:, None]
-        elif obs == "entropy-avg":
-            vals = average_linear_entropy(e_vals)[:, None]
-        elif obs == "concurrence":
-            vals = concurrence_closed(post_bsm_projection(*config.angles, e_vals))[:, None]
-        elif obs == "density":
-            vals = density_populations(post_bsm_projection(*config.angles, e_vals))
-        else:  # power
-            p_vals = survival_probability(e_vals)
-            vals = (entangling_power_grid(p_vals) if config.power_method == "quad"
-                    else entangling_power_mc_grid(p_vals, config.mc, stderr=False)[0])[:, None]
-        yield taus, vals
+    def blocks():
+        done = 0
+        for taus in grid.tau_blocks(rows):
+            with np.errstate(over="ignore", invalid="ignore"):
+                e_vals = points(done, done + len(taus)) if points else amplitude(model, taus)
+            done += len(taus)
+            if not np.all(np.isfinite(e_vals)):
+                raise NonFiniteResult(f"the survival amplitude overflowed for {config.params}")
+            if obs == "amplitude":
+                vals = np.column_stack([e_vals.real, e_vals.imag, np.abs(e_vals)])
+            elif obs == "entropy":
+                theta = config.angles[0].theta if config.angles else 0.0
+                vals = linear_entropy(theta, e_vals)[:, None]
+            elif obs == "entropy-avg":
+                vals = average_linear_entropy(e_vals)[:, None]
+            elif obs == "concurrence":
+                vals = concurrence_closed(post_bsm_projection(*config.angles, e_vals))[:, None]
+            elif obs == "density":
+                vals = density_populations(post_bsm_projection(*config.angles, e_vals))
+            else:  # power
+                p_vals = survival_probability(e_vals)
+                vals = (entangling_power_grid(p_vals) if config.power_method == "quad"
+                        else entangling_power_mc_grid(p_vals, config.mc, stderr=False)[0])[:, None]
+            yield taus, vals
+    return blocks()
 
 
 def run_scan(config: ScenarioConfig) -> TimeSeries:

@@ -18,7 +18,6 @@ from .amplitude import (
 )
 from .measures import (
     BlochAngles,
-    PostBsmState,
     average_linear_entropy,
     concurrence_closed,
     concurrence_wootters,
@@ -112,13 +111,14 @@ def check_entropy_bounds():
 
 
 def check_concurrence_oracle():
-    # 300 seeded draws of (theta1, phi1, theta2, phi2, |E|^2, arg E), as one
-    # batch of the states of non-vanishing norm
+    # 300 seeded draws of (theta1, phi1, theta2, phi2, |E|^2, arg E), then the
+    # Bell state (theta = phi, the same for both qubits) at four |E|: one batch
     t1, p1, t2, p2, u, arg = np.random.default_rng(99).uniform(
         0, [math.pi, 2 * math.pi] * 2 + [1, 2 * math.pi], (300, 6)).T
-    s = post_bsm_projection(BlochAngles(t1, p1), BlochAngles(t2, p2), np.sqrt(u) * np.exp(1j * arg))
-    batch = PostBsmState(s.X[s.N >= 1e-12], s.Y[s.N >= 1e-12])
-    errs = concurrence_closed(batch) - concurrence_wootters(density_matrix(batch))
+    t1, p1, t2, p2 = (np.r_[a, np.repeat([0.3, 1.0, 1.4], 4)] for a in (t1, p1, t2, p2))
+    e = np.r_[np.sqrt(u) * np.exp(1j * arg), [1, 1e-16, 1e-200, 5e-324] * 3]
+    s = post_bsm_projection(BlochAngles(t1, p1), BlochAngles(t2, p2), e)
+    errs = concurrence_closed(s) - concurrence_wootters(density_matrix(s))
     return np.max(np.abs(errs)), 1e-8
 
 

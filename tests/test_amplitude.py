@@ -171,6 +171,38 @@ class TestModelParams:
             ModelParams(math.nextafter(r_max, math.inf), 0.0, 1.0)
 
 
+class TestPhaseBound:
+    """Beyond R*tau/sqrt(2) = 1e-3/eps (4.5e12) the phase of E is uncertain
+    by more than 1e-3.  The library routes refuse it as a scan does: at
+    R = 1e100 amplitude() gave finite, meaningless values, and the propagator
+    [1, 0, 0] after overflow warnings."""
+
+    MESSAGE = r"^R\*tau_end/sqrt\(2\) = .* exceeds 4\.5e\+12, where the phase"
+
+    def test_amplitude_checks_its_largest_tau(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = build_amplitude_model(ModelParams(R=1e100, beta=0.0, Omega=1.5e9))
+        with pytest.raises(RangeError, match=self.MESSAGE):
+            amplitude(model, [0.5, 1.0])
+        model = build_amplitude_model(ModelParams(R=1e10, beta=0.0, Omega=1.5e9))
+        assert np.all(np.isfinite(amplitude(model, [0.0, 600.0, -600.0])))  # phase 4.2e12
+        assert amplitude(model, np.array([])).shape == (0,)
+        for tau in (700.0, -700.0, [1.0, 700.0]):  # phase 4.9e12
+            with pytest.raises(RangeError, match=self.MESSAGE):
+                amplitude(model, tau)
+
+    def test_propagator_checks_tau_end(self):
+        for params in (ModelParams(R=1e100, beta=0.0, Omega=1.5e9),
+                       ModelParams(R=1e10, beta=0.0, Omega=1.5e9)):
+            with pytest.raises(RangeError, match=self.MESSAGE):
+                amplitude_ode_oracle(params, TimeGrid(0.0, 700.0, 3))
+            with pytest.raises(RangeError, match=self.MESSAGE):
+                propagator(params, TimeGrid(0.0, 700.0, 3))
+        e = amplitude_ode_oracle(ModelParams(R=1e10, beta=0.0, Omega=1.5e9),
+                                 TimeGrid(0.0, 600.0, 3))
+        assert e[0] == 1 and np.all(np.isfinite(e))
+
+
 class TestCubicCoefficients:
     def test_static_weak(self):
         c = cubic_coefficients(ModelParams(R=0.1, beta=0.0, Omega=1.5e9))

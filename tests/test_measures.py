@@ -137,10 +137,12 @@ class TestPostBsmProjection:
 class TestConcurrenceClosed:
     def test_singlet_branch_is_maximal(self):
         q = BlochAngles(theta=math.pi / 2, phi=0.0)
-        for e in (1.0, 0.5, 0.1j, 1e-6, 1e-200, 5e-324):
+        for e in (1.0, 0.5, 0.1j, 1e-6, 1e-16, 1e-200, 5e-324):
             s = post_bsm_projection(q, q, e)
             assert concurrence_closed(s) == 1.0
             assert density_populations(s).tolist() == [0.0, 0.5, 0.5, 0.0]
+            # the cross-check too, where N = |X|^2 underflows
+            assert abs(concurrence_wootters(density_matrix(s)) - 1) <= 1e-15
 
     def test_excited_cross_plus_formula(self):
         # 2p/(2p+1) with p = |E|^2
@@ -232,9 +234,9 @@ class TestConcurrenceWootters:
 
 
 def seeded_states():
-    """The states validate's concurrence-oracle checks: default_rng(99) drawn
-    one value at a time, (theta1, phi1, theta2, phi2, |E|^2, arg E) for each
-    of 300 samples, and those of non-vanishing norm kept."""
+    """The 300 drawn states that validate's concurrence-oracle checks:
+    default_rng(99) drawn one value at a time, (theta1, phi1, theta2, phi2,
+    |E|^2, arg E) for each sample."""
     rng = np.random.default_rng(99)
     states = []
     for _ in range(300):
@@ -242,7 +244,7 @@ def seeded_states():
         q2 = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         e = math.sqrt(rng.uniform(0, 1)) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         states.append(post_bsm_projection(q1, q2, e))
-    return [s for s in states if s.N >= 1e-12]
+    return states
 
 
 def stack(states):
@@ -269,8 +271,13 @@ class TestBatchedWootters:
         # the same draws and the same states, projected as one batch of angles
         (batch,) = batches
         expected = stack(seeded_states())
-        np.testing.assert_allclose(batch.X, expected.X, rtol=0, atol=4e-16)
-        np.testing.assert_allclose(batch.Y, expected.Y, rtol=0, atol=4e-16)
+        assert min(expected.N) > 1e-4  # no draw comes near N = 1e-12: the batch needs no filter
+        np.testing.assert_allclose(batch.X[:300], expected.X, rtol=0, atol=4e-16)
+        np.testing.assert_allclose(batch.Y[:300], expected.Y, rtol=0, atol=4e-16)
+        # then twelve Bell states: identical angles, so Y = 0, down to |E| = 5e-324
+        bell = PostBsmState(batch.X[300:], batch.Y[300:])
+        assert len(bell.X) == 12 and np.all(bell.Y == 0) and np.min(np.abs(bell.X)) == 5e-324
+        assert np.max(np.abs(concurrence_wootters(density_matrix(bell)) - 1)) <= 1e-15
 
     def test_bell_and_product_state_in_one_stack(self):
         v = np.array([0, 1, -1, 0]) / math.sqrt(2)
@@ -288,6 +295,68 @@ class TestBatchedWootters:
         with pytest.raises(NonPhysicalInput, match=message) as info:
             DensityMatrix4(rho)
         assert "\n" not in str(info.value)
+
+
+class TestOneVanishingRule:
+    """The closed form and the spin-flip route share one ZeroNorm rule, X = Y
+    = 0, and the spin-flip route scales X and Y as the closed form does."""
+
+    # (q1, q2, E) and whether X = Y = 0
+    CASES = [
+        ((math.pi, 0.0), (math.pi, 0.0), 0.5, True),  # both qubits in |g>
+        ((1.0, 2.0), (1.0, 2.0), 0.0, True),  # identical angles, E = 0
+        ((1.0, 2.0), (1.0, 2.0), 5e-324, False),  # the Bell state, |E| least subnormal
+        ((1.0, 2.0), (1.0, 2.0), 1e-200, False),
+        ((1.0, 0.0), (1.0, 1e-300), 0.0, False),  # X = 0, |Y| about 1e-300: N underflows
+        ((0.4, 1.0), (1.2, 0.3), 0.0, False),  # X = 0, Y normal
+        ((0.4, 1.0), (math.pi, 0.0), 0.5, False),  # X = 0 from a ground qubit
+        ((0.4, 1.0), (1.2, 0.3), 1e-160, False),  # Y normal, |X|^2 underflows
+    ]
+
+    @staticmethod
+    def measures():
+        return (concurrence_closed, density_populations,
+                lambda s: concurrence_wootters(density_matrix(s)))
+
+    @pytest.mark.parametrize("q1, q2, e, vanishes", CASES)
+    def test_same_states_raise_zero_norm(self, q1, q2, e, vanishes):
+        s = post_bsm_projection(BlochAngles(*q1), BlochAngles(*q2), e)
+        assert (s.X == 0 and s.Y == 0) is vanishes
+        for measure in self.measures():
+            if vanishes:
+                with pytest.raises(ZeroNorm):
+                    measure(s)
+            else:
+                assert np.all(np.isfinite(measure(s)))
+        # in a batch, the one row decides for the whole batch
+        batch = PostBsmState(np.array([0.3 + 0.1j, s.X]), np.array([0.2, s.Y]))
+        for measure in self.measures():
+            if vanishes:
+                with pytest.raises(ZeroNorm):
+                    measure(batch)
+            else:
+                assert np.all(np.isfinite(measure(batch)))
+
+    def test_density_matrix_keeps_its_bits(self):
+        # where N and both squares are normal the power-of-two scaling is
+        # exact: the unscaled (0, X, -X, Y)/sqrt(N) outer product, bit for bit
+        rng = np.random.default_rng(2501)
+        n = 4000
+        t1, p1, t2, p2 = rng.uniform(0, [math.pi, 2 * math.pi] * 2, (n, 4)).T
+        e = 10 ** rng.uniform(-150, 0, n) * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+        s = post_bsm_projection(BlochAngles(t1, p1), BlochAngles(t2, p2), e)
+        x2, y2 = np.abs(s.X) ** 2, np.abs(s.Y) ** 2
+        tiny = np.finfo(float).tiny
+        keep = (x2 >= tiny) & (y2 >= tiny) & (s.N >= tiny)
+        assert np.count_nonzero(keep) > 3900
+        s = PostBsmState(s.X[keep], s.Y[keep])
+        x, y = s.X, s.Y
+        vec = np.stack([np.zeros_like(x), x, -x, y], axis=-1) / np.sqrt(s.N)[..., None]
+        unscaled = vec[..., :, None] * vec[..., None, :].conj()
+        assert np.array_equal(density_matrix(s).matrix, unscaled)
+        for i in range(0, len(x), 97):  # and the scalar route
+            one = PostBsmState(complex(x[i]), complex(y[i]))
+            assert np.array_equal(density_matrix(one).matrix, unscaled[i])
 
 
 class TestClassifyInitialState:

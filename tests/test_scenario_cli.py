@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubitswap import cli, format17, scenario, validate
@@ -180,6 +180,9 @@ class TestOptionTableProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(option_values())
+    # before Python 3.13 argparse read the "--" of "--out=--" as the end of the
+    # options and gave out = [], which became the file name "[]"
+    @example({"R": 1.0, "omega-ratio": 1.0, "observable": "amplitude", "out": "--"})
     def test_argv_from_table_parses_to_same_config(self, values):
         seen = []
         argv = ["scan"] + [f"--{key}={as_text(key, value)}" for key, value in values.items()]
@@ -962,8 +965,8 @@ class TestCliInputErrors:
         argv = ["scan", "--R", "0.1", "--omega-ratio", "1.5e9", "--observable", "power",
                 "--power-method", "mc", "--mc-samples", "3000000",
                 "--tau-min", "1", "--tau-max", tau_max, "--tau-steps", steps]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == "error: tau values must be strictly increasing\n"
+        assert main(argv) == 1  # before the CSV header too: stdout stays empty
+        assert capsys.readouterr() == ("", "error: tau values must be strictly increasing\n")
 
     def test_repeat_across_a_block_boundary_fails_before_any_work(self, capsys, monkeypatch):
         # each block rises strictly; only the first tau of the second repeats
@@ -1031,7 +1034,8 @@ class TestCliInputErrors:
         argv = ["scan", "--R", "1e100", "--omega-ratio", "1.5e9", "--observable", "entropy",
                 "--tau-steps", "3", "--out", "-"]
         assert main(argv) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""  # the check runs before the CSV header is written
         assert err.count("\n") == 1
         assert err.startswith("error: R*tau_end/sqrt(2) = 3.54e+101 exceeds 4.5e+12")
         for R, tau_max, code in (("1e10", "50", 0), ("1e12", "1", 0), ("1e12", "50", 1)):
@@ -1064,6 +1068,74 @@ class TestCliInputErrors:
         assert main(self.BASE) == 2
         err = capsys.readouterr().err
         assert err == "internal error: LinAlgError: Array must not contain infs or NaNs\n"
+
+
+def box_sweep_inputs():
+    """(R, beta, Omega, tau_end) over the documented box: 60 seeded
+    log-uniform draws, then the structured points where a route once failed
+    or went wrong: R = 1/sqrt(2) at beta = 0 (coinciding roots), R = 2e-3
+    with beta = 1e-8 and Omega = 0.05 (a close pair), the near-triple root at
+    three beta, and beta*Omega = 150 and 750."""
+    rng = np.random.default_rng(2501)
+
+    def log_uniform(lo, hi):
+        return float(10 ** rng.uniform(math.log10(lo), math.log10(hi)))
+
+    for _ in range(60):
+        beta = 0.0 if rng.uniform() < 0.25 else log_uniform(1e-18, 9.99e-4)
+        yield log_uniform(1e-8, 1e12), beta, log_uniform(1e-6, 1e18), log_uniform(1e-3, 1e3)
+    yield 1 / math.sqrt(2), 0.0, 1.5e9, 50.0
+    yield 2e-3, 1e-8, 0.05, 50.0
+    for beta in (1e-9, 1e-12, 1e-15):
+        yield 0.769800358919501, beta, 0.19245008972987526 / beta, 50.0
+    yield 10.0, 1e-7, 1.5e9, 50.0
+    yield 1000.0, 5e-7, 1.5e9, 50.0
+
+
+class TestBoxSweep:
+    """Every observable, through cli.main, at each point of a seeded sweep of
+    the documented box: exit 0 with finite values, or, beyond the phase
+    bound, exit 1 with one line on stderr and nothing on stdout.  Where it
+    exits 0, the default amplitude route is within max(1e-10, 1e-15 phase)
+    of the propagator, the phase being R*tau_end/sqrt(2)."""
+
+    @staticmethod
+    def rows(out):
+        return np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+
+    def test_sweep(self, capsys):
+        rng = np.random.default_rng(7)
+        rejected = 0
+        for R, beta, omega, tau_end in box_sweep_inputs():
+            t1, t2 = rng.uniform(0, math.pi, 2)
+            p1, p2 = rng.uniform(0, 2 * math.pi, 2)
+            argv = scan_argv({"R": R, "beta": beta, "omega-ratio": omega, "tau-max": tau_end,
+                              "tau-steps": 41, "theta1": t1, "phi1": p1, "theta2": t2,
+                              "phi2": p2, "out": "-"})
+            phase = R * tau_end / math.sqrt(2)
+            beyond = phase > 1e-3 / sys.float_info.epsilon
+            rejected += beyond
+            got = {}
+            for obs in scenario.OBSERVABLES:
+                code = main(argv + [f"--observable={obs}"])
+                out, err = capsys.readouterr()
+                where = f"{obs} at R={R!r} beta={beta!r} Omega={omega!r} tau_end={tau_end!r}"
+                if beyond:
+                    assert (code, out, err.count("\n")) == (1, "", 1), where
+                    assert err.startswith("error: R*tau_end/sqrt(2)"), where
+                    continue
+                assert (code, err) == (0, ""), f"{where}: {err}"
+                got[obs] = self.rows(out)
+                assert got[obs].shape == (41, len(scenario.COLUMNS[obs])), where
+                assert np.all(np.isfinite(got[obs])), where
+            if beyond:
+                continue
+            assert main(argv + ["--observable=amplitude", "--method=oracle"]) == 0
+            oracle = self.rows(capsys.readouterr().out)
+            err = np.abs((got["amplitude"][:, 1] - oracle[:, 1])
+                         + 1j * (got["amplitude"][:, 2] - oracle[:, 2]))
+            assert np.max(err) <= max(1e-10, 1e-15 * phase), where
+        assert 0 < rejected < 20  # the bound is met on both sides
 
 
 CHECK_NAMES = [name for name, _ in validate.ALL_CHECKS]
