@@ -218,9 +218,7 @@ def amplitude(model: AmplitudeModel, tau) -> complex | np.ndarray:
         np.exp(term, out=term)
         np.multiply(a, term, out=term)
         out += term
-    if t.ndim == 0:
-        return complex(out)
-    return out
+    return out if out.ndim else out.item()
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,13 +2,12 @@
 Bell measurement on the leaked fields, and two-qubit concurrence (closed form
 and spin-flip eigenvalue route).
 
-The closed-form measures take the survival amplitude E as a scalar or as a
-numpy array over a time grid, and check a whole array at once.  A scalar E
-gives a scalar, an array gives an array of the same shape.  Each formula is
-written once; only the primitives below choose between the scalar and the
-array operation, and the two agree bit for bit, so an array element equals
-the scalar result for the same E.  The concurrence and the populations share
-one formula, exact for identical initial states: concurrence 1 at every E != 0.
+Every input goes through numpy, a scalar as a 0-d array, so each formula is
+one array expression.  A scalar E (Python, numpy or 0-d) gives a Python float
+or complex; an array E over a time grid, checked whole, gives an array of its
+shape whose every element has the scalar result's bits.  linear_entropy also
+takes an array of theta.  The concurrence and the populations share one
+formula, exact for identical initial states: concurrence 1 at every E != 0.
 The spin-flip route stacks matrices scaled alike; only X = Y = 0 is ZeroNorm.
 """
 
@@ -26,26 +25,27 @@ _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _SYSY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
+def _py(x):
+    """A 0-d result as a Python float or complex, an array as it is."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
+
+
 def _abs(z):
-    # np.hypot equals scalar abs() bit for bit; np.abs on a complex array does not.
-    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+    # np.hypot equals Python's abs() bit for bit; np.abs on a complex array does not.
+    return np.hypot(z.real, z.imag)
 
 
-def _sq(x):
-    # Scalar x ** 2 calls the C library's pow, and so does np.float_power;
-    # numpy's array x ** 2 is x * x, which rounds differently now and then.
-    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x**2
-
-
-def _all(condition) -> bool:
-    return bool(np.all(condition)) if isinstance(condition, np.ndarray) else bool(condition)
+def _pow(x, n):
+    # np.float_power is the C library's pow, as Python's x ** n is; numpy's own
+    # x ** 2 (x * x) and x ** 4 round differently now and then.
+    return np.float_power(x, n)
 
 
 def _checked_abs_e(E):
     """|E| for every amplitude; rejects non-finite E and |E| above 1 beyond
     round-off."""
     mag = _abs(E)
-    if not _all(mag <= 1 + 1e-9):  # also false for NaN
+    if not np.all(mag <= 1 + 1e-9):  # also false for NaN
         raise RangeError(f"|E| must be finite and at most 1, got max |E| = {np.max(mag)}")
     return mag
 
@@ -53,8 +53,7 @@ def _checked_abs_e(E):
 def survival_probability(E):
     """|E|^2, clipped to 1 where |E| exceeds 1 by round-off; a non-finite E,
     or |E| above 1 beyond round-off, raises RangeError."""
-    p = _sq(_checked_abs_e(E))
-    return np.minimum(p, 1.0) if isinstance(p, np.ndarray) else min(p, 1.0)
+    return _py(np.minimum(_pow(_checked_abs_e(E), 2), 1.0))
 
 
 @dataclass(frozen=True)
@@ -67,44 +66,40 @@ class BlochAngles:
     phi: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if not _all((0 <= self.theta) & (self.theta <= math.pi)):
+        if not np.all((0 <= self.theta) & (self.theta <= math.pi)):
             raise RangeError(f"theta must lie in [0, pi], got {self.theta}")
-        if not _all(np.isfinite(self.phi)):
+        if not np.all(np.isfinite(self.phi)):
             raise RangeError(f"phi must be finite, got {self.phi}")
         phi = self.phi % (2 * math.pi)
         # a tiny negative phi gives 2pi itself, which would not map to itself
         phi = np.where(phi == 2 * math.pi, 0.0, phi)
-        object.__setattr__(self, "phi", phi if phi.ndim else float(phi))
+        object.__setattr__(self, "theta", _py(self.theta))
+        object.__setattr__(self, "phi", _py(phi))
 
 
-def linear_entropy(theta: float, E):
-    """Linear entropy of one qubit-cavity subsystem.
+def linear_entropy(theta, E):
+    """Linear entropy of one qubit-cavity subsystem, at one theta or an array.
 
     Depends on the initial state only through theta (the azimuthal phase drops
     out) and on the dynamics only through the survival probability |E|^2.
     """
-    if not (0 <= theta <= math.pi):
-        raise RangeError(f"theta must lie in [0, pi], got {theta}")
+    c = _half_cos_sin(BlochAngles(theta).theta)[0]
     p = survival_probability(E)
-    return 2 * (1 - p) * p * math.cos(theta / 2) ** 4
+    return _py(2 * (1 - p) * p * _pow(c, 4))
 
 
 def average_linear_entropy(E):
     """Haar average of the linear entropy over initial qubit states; maximum
     1/6, attained when the survival probability is 1/2."""
     p = survival_probability(E)
-    return (2.0 / 3.0) * (1 - p) * p
+    return _py((2.0 / 3.0) * (1 - p) * p)
 
 
 def _half_cos_sin(theta):
     # cos(pi/2) rounds to 6e-17, but a ground-state qubit must contribute an
     # exactly vanishing singlet amplitude.
-    if isinstance(theta, np.ndarray):
-        ground = theta == math.pi
-        return np.where(ground, 0.0, np.cos(theta / 2)), np.where(ground, 1.0, np.sin(theta / 2))
-    if theta == math.pi:
-        return 0.0, 1.0
-    return math.cos(theta / 2), math.sin(theta / 2)
+    ground = theta == math.pi
+    return np.where(ground, 0.0, np.cos(theta / 2)), np.where(ground, 1.0, np.sin(theta / 2))
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,7 @@ class PostBsmState:
 
     @property
     def N(self):
-        return 2 * _sq(_abs(self.X)) + _sq(_abs(self.Y))
+        return _py(2 * _pow(_abs(self.X), 2) + _pow(_abs(self.Y), 2))
 
 
 def post_bsm_projection(q1: BlochAngles, q2: BlochAngles, E) -> PostBsmState:
@@ -136,16 +131,16 @@ def post_bsm_projection(q1: BlochAngles, q2: BlochAngles, E) -> PostBsmState:
     _checked_abs_e(E)
     c1, s1 = _half_cos_sin(q1.theta)
     c2, s2 = _half_cos_sin(q2.theta)
-    x = c1 * c2 * E
+    x = c1 * c2 * np.asarray(E, dtype=complex)
     y = s1 * c2 * np.exp(1j * q1.phi) - s2 * c1 * np.exp(1j * q2.phi)
-    return PostBsmState(*(v if isinstance(v, np.ndarray) else complex(v) for v in (x, y)))
+    return PostBsmState(_py(x), _py(y))
 
 
 def _moduli(s: PostBsmState):
     """|X|, |Y| and m, the larger of the two; m = 0 (X = Y = 0) raises ZeroNorm."""
     a, b = _abs(s.X), _abs(s.Y)
-    m = np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
-    if not _all(m > 0):
+    m = np.maximum(a, b)
+    if not np.all(m > 0):
         raise ZeroNorm("projection has vanishing success probability")
     return a, b, m
 
@@ -163,7 +158,7 @@ def _fractions(s: PostBsmState):
 
 def concurrence_closed(s: PostBsmState):
     """Concurrence of the post-measurement pure state: 2|X|^2 / (2|X|^2 + |Y|^2)."""
-    return _fractions(s)[0]
+    return _py(_fractions(s)[0])
 
 
 def density_populations(s: PostBsmState) -> np.ndarray:
@@ -206,7 +201,7 @@ def density_matrix(s: PostBsmState) -> DensityMatrix4:
     x, y = np.broadcast_arrays(np.asarray(s.X, dtype=complex), s.Y)
     vec = np.stack([np.zeros_like(x), x, -x, y], axis=-1)
     np.ldexp(vec.view(float), e[..., None], out=vec.view(float))  # real and imaginary parts
-    vec /= np.sqrt(2 * _sq(_abs(vec[..., 1])) + _sq(_abs(vec[..., 3])))[..., None]
+    vec /= np.sqrt(2 * _pow(_abs(vec[..., 1]), 2) + _pow(_abs(vec[..., 3]), 2))[..., None]
     return DensityMatrix4(vec[..., :, None] * vec[..., None, :].conj())
 
 
@@ -226,4 +221,4 @@ def concurrence_wootters(rho: DensityMatrix4):
     e = np.sort(np.sqrt(np.maximum(evals, 0.0)), axis=-1)[..., ::-1]
     c = e[..., 0] - e[..., 1] - e[..., 2] - e[..., 3]
     c = np.where(c > 0, c, 0.0)  # max(0, c), with a NaN giving 0
-    return float(c) if c.ndim == 0 else c
+    return _py(c)

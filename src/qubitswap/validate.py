@@ -22,6 +22,7 @@ from .measures import (
     concurrence_closed,
     concurrence_wootters,
     density_matrix,
+    density_populations,
     linear_entropy,
     post_bsm_projection,
 )
@@ -99,13 +100,10 @@ def check_contractivity_and_stability():
 
 
 def check_entropy_bounds():
-    rng = np.random.default_rng(7)
-    s, sav = [], []
-    for _ in range(200):
-        e = math.sqrt(rng.uniform(0, 1)) * np.exp(1j * rng.uniform(0, 2 * math.pi))
-        theta = rng.uniform(0, math.pi)
-        s.append(linear_entropy(theta, e))
-        sav.append(average_linear_entropy(e))
+    # 200 seeded (|E|^2, arg E, theta) triples, one batch
+    u, arg, theta = np.random.default_rng(7).uniform(0, [1, 2 * math.pi, math.pi], (200, 3)).T
+    e = np.sqrt(u) * np.exp(1j * arg)
+    s, sav = linear_entropy(theta, e), average_linear_entropy(e)
     return _tightest((-np.min(s), 0.0), (np.max(s) - 0.5, 1e-12),
                      (-np.min(sav), 0.0), (np.max(sav) - 1 / 6, 1e-12))
 
@@ -118,7 +116,9 @@ def check_concurrence_oracle():
     t1, p1, t2, p2 = (np.r_[a, np.repeat([0.3, 1.0, 1.4], 4)] for a in (t1, p1, t2, p2))
     e = np.r_[np.sqrt(u) * np.exp(1j * arg), [1, 1e-16, 1e-200, 5e-324] * 3]
     s = post_bsm_projection(BlochAngles(t1, p1), BlochAngles(t2, p2), e)
-    errs = concurrence_closed(s) - concurrence_wootters(density_matrix(s))
+    rho = density_matrix(s)
+    errs = np.c_[concurrence_closed(s) - concurrence_wootters(rho),
+                 density_populations(s) - np.diagonal(rho.matrix, axis1=1, axis2=2).real]
     return np.max(np.abs(errs)), 1e-8
 
 

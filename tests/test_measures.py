@@ -78,7 +78,9 @@ class TestLinearEntropy:
         assert linear_entropy(0.0, math.sqrt(0.5)) == pytest.approx(0.5)
 
     def test_ground_state_zero(self):
-        assert linear_entropy(math.pi, 0.3 + 0.4j) == pytest.approx(0.0, abs=1e-30)
+        # exactly: cos(pi/2) rounds to 6e-17, but the ground state is ruled exact
+        assert linear_entropy(math.pi, 0.3 + 0.4j) == 0.0
+        assert np.all(linear_entropy(math.pi, np.array([0.3 + 0.4j, 0.5, 1.0])) == 0.0)
 
     def test_pure_state_zero(self):
         assert linear_entropy(0.0, 1.0) == 0.0
@@ -279,6 +281,14 @@ class TestBatchedWootters:
         assert len(bell.X) == 12 and np.all(bell.Y == 0) and np.min(np.abs(bell.X)) == 5e-324
         assert np.max(np.abs(concurrence_wootters(density_matrix(bell)) - 1)) <= 1e-15
 
+    def test_validate_checks_the_populations_against_the_matrix(self, monkeypatch):
+        # populations moved 2e-8 off the matrix diagonal, still summing to 1
+        real = validate.density_populations
+        monkeypatch.setattr(validate, "density_populations",
+                            lambda s: real(s) + [0.0, 2e-8, 0.0, -2e-8])
+        worst, bound = validate.check_concurrence_oracle()
+        assert worst > bound == 1e-8
+
     def test_bell_and_product_state_in_one_stack(self):
         v = np.array([0, 1, -1, 0]) / math.sqrt(2)
         rho = DensityMatrix4(np.array([np.outer(v, v), np.diag([0, 0, 0, 1.0])]))
@@ -474,13 +484,28 @@ class TestArrayMeasures:
         ref = np.stack([np.zeros_like(c), c / 2, c / 2, g], axis=-1)
         assert np.array_equal(density_populations(s), ref)
 
-    def test_scalar_in_scalar_out(self, angles):
-        assert type(linear_entropy(0.3, 0.6)) is float
-        assert type(average_linear_entropy(0.6j)) is float
-        s = post_bsm_projection(*angles, 0.6)
-        assert type(s.X) is complex and type(s.N) is float
+    @pytest.mark.parametrize("wrap", [float, np.float64, np.array],
+                             ids=["python", "numpy-scalar", "0-d-array"])
+    def test_scalar_in_scalar_out(self, angles, wrap):
+        assert type(linear_entropy(0.3, wrap(0.6))) is float
+        assert type(linear_entropy(wrap(0.3), np.complex128(0.6))) is float
+        assert type(average_linear_entropy(wrap(0.6))) is float
+        s = post_bsm_projection(*angles, wrap(0.6))
+        assert type(s.X) is complex and type(s.Y) is complex and type(s.N) is float
         assert type(concurrence_closed(s)) is float
+        assert type(concurrence_wootters(density_matrix(s))) is float
         assert density_populations(s).shape == (4,)
+        q = BlochAngles(wrap(0.3), wrap(0.4))
+        assert type(q.theta) is float and type(q.phi) is float
+        model = build_amplitude_model(ModelParams(R=10.0, beta=1e-8, Omega=1.5e9))
+        assert type(amplitude(model, wrap(1.0))) is complex
+
+    def test_array_theta_equals_scalar_calls(self, batch):
+        theta = np.r_[0.0, math.pi, np.random.default_rng(5).uniform(0, math.pi, 98)]
+        e = batch[:100]
+        ref = np.array([linear_entropy(t, x) for t, x in zip(theta, e)])
+        assert linear_entropy(theta, e).tobytes() == ref.tobytes()
+        assert linear_entropy(theta, e)[1] == 0.0
 
     def test_vanishing_weight_in_batch_raises(self):
         e = np.array([0.5, 0.3 + 0.1j, 0.9])
