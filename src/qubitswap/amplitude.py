@@ -27,9 +27,7 @@ BETA_MAX = 1e-3
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 _PHASE_MAX = 1e-3 / sys.float_info.epsilon  # R*tau/sqrt(2) whose rounding error is 1e-3
 
-# Grid points per row of the propagator's table: a call forms one matrix
-# exponential for each row it touches, and a grid's first call also K columns.
-_POINTS_PER_ROW = 64
+_POINTS_PER_ROW = 64  # K, grid points per row of a grid's lattice (see _lattice)
 
 
 @dataclass(frozen=True)
@@ -117,20 +115,18 @@ class TimeGrid:
     def tau_blocks(self, rows: int) -> Iterator[np.ndarray]:
         """taus() in blocks of rows points, bit for bit, never all at once:
         np.linspace is arange(n) * step + start with its last point set to
-        tau_end.  The last block takes up to rows + 1 points: numpy rounds an
-        in-place complex product over one element differently than over more."""
+        tau_end."""
         n, div, delta = self.n_points, self.n_points - 1, self.tau_end - self.tau_start
         step = delta / div if div else 0.0
-        edges = [*range(0, max(div, 1), rows), n]
-        for lo, hi in zip(edges, edges[1:]):
-            y = np.arange(lo, hi, dtype=float)
+        for lo in range(0, n, rows):
+            y = np.arange(lo, min(lo + rows, n), dtype=float)
             if step:
                 y *= step
             else:  # one point, or a step that underflowed: numpy divides first
                 y /= max(div, 1)
                 y *= delta
             y += self.tau_start
-            if hi == n > 1:
+            if lo + rows >= n > 1:
                 y[-1] = self.tau_end
             yield y
 
@@ -185,11 +181,11 @@ def build_amplitude_model(params: ModelParams) -> AmplitudeModel:
     The weights grow like 1/gap^2 as two roots close, and the analytic
     route's error with their conditioning eps sum|A_i| scale / gap (gap the
     two closest roots' distance, scale the largest root modulus or 1).  When
-    that exceeds 1e-12, or the gap is 0, the model is flagged degenerate and
-    evaluation must go through the propagator instead: ``propagator`` for
-    blocks of a grid, ``amplitude_ode_oracle`` for a whole grid.  At
-    beta = 0 the conditioning is about 2 eps / R^2, so every R below about
-    0.02 is flagged.
+    that exceeds 1e-12, the gap is 0 or a root or weight is not finite, the
+    model is flagged degenerate and evaluation must go through the
+    propagator instead: ``propagator`` for a grid's points,
+    ``amplitude_ode_oracle`` for a whole grid.  At beta = 0 the conditioning
+    is about 2 eps / R^2, so every R below about 0.02 is flagged.
     """
     c = cubic_coefficients(params)
     q = solve_cubic(c)
@@ -199,7 +195,8 @@ def build_amplitude_model(params: ModelParams) -> AmplitudeModel:
     weights = (0j, 0j, 0j) if gap == 0 else tuple(
         (q[i] + yp) * (q[i] + ym) / ((q[i] - q[(i + 1) % 3]) * (q[i] - q[(i + 2) % 3]))
         for i in range(3))
-    degenerate = gap == 0 or sys.float_info.epsilon * sum(map(abs, weights)) * scale / gap > 1e-12
+    degenerate = (gap == 0 or not np.isfinite([*q, *weights]).all()
+                  or sys.float_info.epsilon * sum(map(abs, weights)) * scale / gap > 1e-12)
     return AmplitudeModel(
         params=params, roots=tuple(q), weights=weights, degenerate=degenerate
     )
@@ -211,14 +208,18 @@ def amplitude(model: AmplitudeModel, tau) -> complex | np.ndarray:
         raise DegenerateModel("near-degenerate roots: evaluate via amplitude_ode_oracle")
     t = np.asarray(tau, dtype=float)
     check_phase(model.params.R, np.abs(t).max(initial=0.0))
-    out = np.zeros(t.shape, dtype=complex)
-    term = np.empty_like(out)  # a * exp(qi * t), one operation at a time in place
-    for a, qi in zip(model.weights, model.roots):
-        np.multiply(qi, t, out=term)
-        np.exp(term, out=term)
-        np.multiply(a, term, out=term)
-        out += term
+    # np.multiply keeps a * exp(q t) in that operand order at 16 384 points and more
+    out = sum(np.multiply(a, np.exp(qi * t)) for a, qi in zip(model.weights, model.roots))
     return out if out.ndim else out.item()
+
+
+def grid_amplitude(model: AmplitudeModel, grid: TimeGrid) -> Callable[[int, int], np.ndarray]:
+    """E at grid points lo..hi-1: _lattice's row A_i exp(q_i t_c), column exp(q_i i h)."""
+    if model.degenerate:
+        raise DegenerateModel("near-degenerate roots: evaluate via propagator")
+    check_phase(model.params.R, grid.tau_end)
+    a, q = np.array(model.weights)[:, None], np.array(model.roots)[:, None]
+    return _lattice(grid, lambda t: a * np.exp(q * t), lambda s: np.exp(q * s))
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -254,9 +255,7 @@ def amplitude_ode_oracle(params: ModelParams, grid: TimeGrid) -> np.ndarray:
 
 
 def propagator(params: ModelParams, grid: TimeGrid) -> Callable[[int, int], np.ndarray]:
-    """E at grid points lo..hi-1, any lo < hi, from the exact propagator of
-    the memory-kernel equation; a point's bits depend on its index alone, so
-    a scan may ask for one block at a time.
+    """E at grid points lo..hi-1 from the exact propagator of the memory-kernel equation.
 
     Splitting the exponential-cosh kernel into its two exponentials gives the
     linear system dE/dtau = -(R^2/4)(z+ + z-), dz+-/dtau = E - y+- z+-, with
@@ -267,32 +266,41 @@ def propagator(params: ModelParams, grid: TimeGrid) -> Callable[[int, int], np.n
 
     whose Hermitian part diag(0, -Re y+, -Re y-) is negative semidefinite, so
     exp(M tau) is a contraction, and E(tau) = e0' exp(M tau) e0 exactly, with
-    no step size.  Grid point j = c K + i (K = _POINTS_PER_ROW, h the grid
-    step) lies at t_c + i h, t_c = tau_start + c K h, and exp(M (t_c + i h))
-    = exp(M t_c) exp(M i h) makes E_j row c, e0' exp(M t_c), times column i,
-    exp(M i h) e0.  The first call forms the K columns in its rows' stacked
-    call.  The route reads the parameters, not the cubic's roots, so it is
-    independent of the analytic route and holds where those roots coincide.
+    no step size.  exp(M (t_c + i h)) = exp(M t_c) exp(M i h) makes E on the
+    lattice of _lattice row e0' exp(M t_c) times column exp(M i h) e0.  The
+    route reads the parameters, not the cubic's roots, so it is independent
+    of the analytic route and holds where those roots coincide.
     """
     check_phase(params.R, grid.tau_end)
     g = params.R / 2
     m = np.array([[0, -g, -g], [g, -params.y_plus, 0], [g, 0, -params.y_minus]], dtype=complex)
+
+    def first(spans):  # the first row and column of exp(M span) for each span
+        inc = _exp_increments(m, spans)
+        inc[0, 0] += 1
+        return inc
+
+    return _lattice(grid, lambda t: first(t)[0], lambda s: first(s)[:, 0])
+
+
+def _lattice(grid: TimeGrid, row, col) -> Callable[[int, int], np.ndarray]:
+    """E at grid points lo..hi-1, any lo < hi: point j = c K + i (K =
+    _POINTS_PER_ROW, h the grid step) lies at t_c + i h, t_c = tau_start +
+    c K h, and E_j = row(t_c) . col(i h), 3-vectors as (3, len) arrays.  The
+    K columns are formed once, and a call forms one row for each row it
+    touches.  A point's bits depend on its index alone."""
     k, div = _POINTS_PER_ROW, grid.n_points - 1
     step = (grid.tau_end - grid.tau_start) / div if div else 0.0
-    cols = None
+    cols = col(np.arange(k) * step)
 
     def points(lo: int, hi: int) -> np.ndarray:
-        nonlocal cols
         c = np.arange(lo // k, -(-hi // k))
-        t = c * (k * step) + grid.tau_start
-        inc = _exp_increments(m, t if cols is not None else np.r_[t, np.arange(k) * step])
-        inc[0, 0] += 1  # now the first row and column of exp(M span)
-        if cols is None:
-            cols = inc[:, 0, len(t):]
-        rows = inc[0, :, :len(t)]
-        # elementwise products of one (rows, K) shape, so a point's bits do
-        # not depend on how many rows a call forms
-        e = rows[0][:, None] * cols[0] + rows[1][:, None] * cols[1] + rows[2][:, None] * cols[2]
+        rows = row(c * (k * step) + grid.tau_start)
+        # elementwise products of one (rows, K) shape, so a point's bits do not
+        # depend on how many rows a call forms; summed in place, two arrays at a time
+        e = rows[0][:, None] * cols[0]
+        e += rows[1][:, None] * cols[1]
+        e += rows[2][:, None] * cols[2]
         return e.reshape(-1)[lo - c[0] * k:hi - c[0] * k]
 
     return points

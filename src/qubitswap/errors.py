@@ -10,9 +10,9 @@ class RangeError(QubitSwapError):
 
 
 class DegenerateModel(QubitSwapError):
-    """The cubic has (near-)repeated roots; the exponential-sum form is
-    ill-conditioned and callers must fall back to the matrix-exponential
-    propagator."""
+    """The cubic has (near-)repeated or non-finite roots or weights; the
+    exponential-sum form is ill-conditioned or overflowed, and callers must
+    fall back to the matrix-exponential propagator."""
 
 
 class ZeroNorm(QubitSwapError):

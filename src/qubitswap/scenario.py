@@ -14,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .amplitude import (ModelParams, TimeGrid, amplitude, build_amplitude_model, check_phase,
-                        propagator)
-from .amplitude import amplitude_ode_oracle  # noqa: F401 (re-exported)
+from .amplitude import ModelParams, TimeGrid, build_amplitude_model, grid_amplitude, propagator
+from .amplitude import amplitude, amplitude_ode_oracle  # noqa: F401 (re-exported)
 from .errors import NonFiniteResult, ParseError, RangeError, UnknownFigure
 from .format17 import format_g17
 from .measures import (
@@ -201,12 +200,11 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     """The scan: (taus, values) for one block of rows at a time, amplitude
     then observable on that block only, so memory holds one block whatever
     the grid size.  The blocks are the bits of one pass over the whole grid:
-    the taus are linspace's, amplitude() works point by point, Monte Carlo
-    draws the same seeded samples for each block, and the propagator's
-    points depend on their index in the grid alone, so the running index is all
-    that passes from block to block.  Every check runs before it returns."""
+    the taus are linspace's, Monte Carlo draws the same seeded samples for
+    each block, and a point of either amplitude route depends on its index in
+    the grid alone (block b starts at point b * rows).  Every check runs
+    before it returns."""
     grid, obs = config.grid, config.observable
-    check_phase(config.params.R, grid.tau_end)
     rows = _CSV_CHUNK // len(COLUMNS[obs])
     last = -math.inf
     for taus in grid.tau_blocks(rows):  # fail before any amplitude or power work
@@ -215,15 +213,13 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     # An overflow inside a route is reported once, as NonFiniteResult below.
     with np.errstate(over="ignore", invalid="ignore"):
         model = build_amplitude_model(config.params)
-    oracle = config.method == "oracle" or model.degenerate
-    points = propagator(config.params, grid) if oracle else None
+        oracle = config.method == "oracle" or model.degenerate
+        points = propagator(config.params, grid) if oracle else grid_amplitude(model, grid)
 
     def blocks():
-        done = 0
-        for taus in grid.tau_blocks(rows):
+        for b, taus in enumerate(grid.tau_blocks(rows)):
             with np.errstate(over="ignore", invalid="ignore"):
-                e_vals = points(done, done + len(taus)) if points else amplitude(model, taus)
-            done += len(taus)
+                e_vals = points(b * rows, b * rows + len(taus))
             if not np.all(np.isfinite(e_vals)):
                 raise NonFiniteResult(f"the survival amplitude overflowed for {config.params}")
             if obs == "amplitude":
@@ -241,6 +237,7 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
                 p_vals = survival_probability(e_vals)
                 vals = (entangling_power_grid(p_vals) if config.power_method == "quad"
                         else entangling_power_mc_grid(p_vals, config.mc, stderr=False)[0])[:, None]
+            del e_vals  # so that formatting the block can reuse its memory
             yield taus, vals
     return blocks()
 

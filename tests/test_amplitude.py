@@ -17,6 +17,7 @@ from qubitswap.amplitude import (
     amplitude_ode_oracle,
     build_amplitude_model,
     cubic_coefficients,
+    grid_amplitude,
     propagator,
     solve_cubic,
 )
@@ -198,9 +199,15 @@ class TestPhaseBound:
                 amplitude_ode_oracle(params, TimeGrid(0.0, 700.0, 3))
             with pytest.raises(RangeError, match=self.MESSAGE):
                 propagator(params, TimeGrid(0.0, 700.0, 3))
+            with np.errstate(over="ignore", invalid="ignore"):
+                model = build_amplitude_model(params)
+            with pytest.raises(RangeError, match=self.MESSAGE):
+                grid_amplitude(model, TimeGrid(0.0, 700.0, 3))
         e = amplitude_ode_oracle(ModelParams(R=1e10, beta=0.0, Omega=1.5e9),
                                  TimeGrid(0.0, 600.0, 3))
         assert e[0] == 1 and np.all(np.isfinite(e))
+        model = build_amplitude_model(ModelParams(R=1e10, beta=0.0, Omega=1.5e9))
+        assert np.all(np.isfinite(grid_amplitude(model, TimeGrid(0.0, 600.0, 3))(0, 3)))
 
 
 class TestCubicCoefficients:
@@ -289,6 +296,21 @@ class TestAmplitudeModel:
         assert model.degenerate
         with pytest.raises(DegenerateModel):
             amplitude(model, 1.0)
+        with pytest.raises(DegenerateModel):
+            grid_amplitude(model, TimeGrid())
+
+    @pytest.mark.parametrize("R", [1e110, 1e150])
+    def test_overflowed_roots_are_flagged_and_refused(self, R):
+        # the cubic's roots overflow to inf and NaN, so the conditioning is
+        # NaN; the model must take the propagator, not give NaN amplitudes
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = build_amplitude_model(ModelParams(R=R, beta=0.0, Omega=1.5e9))
+        assert not np.isfinite([*model.roots, *model.weights]).all()
+        assert model.degenerate
+        with pytest.raises(DegenerateModel):
+            amplitude(model, 1e-150)
+        with pytest.raises(DegenerateModel):
+            grid_amplitude(model, TimeGrid(0.0, 1e-150, 3))
 
     @pytest.mark.parametrize("params,degenerate", [
         *((p, False) for p in WEAK + STRONG),  # conditioning 4.5e-14 (WEAK[0]), else 2.2e-16
@@ -496,18 +518,22 @@ class TestOdeOracle:
         *(_CSV_CHUNK // len(columns) for columns in COLUMNS.values())}))
     def test_walk_over_blocks_equals_one_call(self, rows):
         # a point's bits depend on its index alone, whether a block starts
-        # or ends inside a row of the table or not, in every observable's
-        # scan blocks, on the analytic and on the fallback route; the
-        # columns formed with another first row change no bit either
+        # or ends inside a row of the lattice or not, in every observable's
+        # scan blocks, for the propagator on the analytic and on the fallback
+        # route's model and for the analytic lattice; a lattice that formed
+        # another row first changes no bit either
         grid = TimeGrid(0.5, 20.0, 301 + 2 * rows)
-        for params in (STRONG[2], ModelParams(R=1 / math.sqrt(2), beta=0.0, Omega=1.5e9)):
-            points, got, lo = propagator(params, grid), [], 0
+        routes = [lambda: propagator(STRONG[2], grid),
+                  lambda: propagator(ModelParams(1 / math.sqrt(2), 0.0, 1.5e9), grid),
+                  lambda: grid_amplitude(build_amplitude_model(STRONG[2]), grid)]
+        for route in routes:
+            points, got, lo = route(), [], 0
             for taus in grid.tau_blocks(rows):
                 got.append(points(lo, lo + len(taus)))
                 lo += len(taus)
             got = np.concatenate(got)
-            assert got.tobytes() == amplitude_ode_oracle(params, grid).tobytes()
-            later = propagator(params, grid)
+            assert got.tobytes() == route()(0, grid.n_points).tobytes()
+            later = route()
             later(grid.n_points - 1, grid.n_points)
             assert got[:rows].tobytes() == later(0, rows).tobytes()
 
@@ -558,8 +584,10 @@ class TestOdeOracle:
         conditioning = sum(map(abs, model.weights)) * max(1.0, *map(abs, q)) / gap
         phase = max(1.0, params.R * grid.tau_end,
                     abs(params.y_plus) * grid.tau_end, abs(params.y_minus) * grid.tau_end)
-        err = np.max(np.abs(amplitude(model, grid.taus()) - amplitude_ode_oracle(params, grid)))
-        assert err <= 100 * np.finfo(float).eps * conditioning * phase
+        oracle = amplitude_ode_oracle(params, grid)
+        for analytic in (amplitude(model, grid.taus()), grid_amplitude(model, grid)(0, n)):
+            err = np.max(np.abs(analytic - oracle))
+            assert err <= 100 * np.finfo(float).eps * conditioning * phase
 
 
 class TestTimeGrid:
@@ -591,10 +619,8 @@ class TestTimeGrid:
     def test_blocks_are_linspace_bits(self, grid, rows):
         blocks = list(grid.tau_blocks(rows))
         assert np.concatenate(blocks).tobytes() == grid.taus().tobytes()
-        # every block but the last has rows points, and the last one, up to
-        # rows + 1, has one only when the grid has
+        # every block but the last has rows points
         assert all(len(b) == rows for b in blocks[:-1])
-        assert 1 < len(blocks[-1]) <= rows + 1 or grid.n_points == 1
 
     def test_random_grids_block_like_linspace(self):
         rng = np.random.default_rng(8)

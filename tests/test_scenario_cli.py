@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubitswap import cli, format17, scenario, validate
-from qubitswap.amplitude import amplitude, amplitude_ode_oracle, build_amplitude_model
+from qubitswap.amplitude import amplitude_ode_oracle, build_amplitude_model, grid_amplitude
 from qubitswap.cli import main
 from qubitswap.errors import ParseError, QubitSwapError, RangeError, UnknownFigure, ZeroNorm
 from qubitswap.measures import (
@@ -499,7 +499,7 @@ def reference_run_scan(config):
         if config.method == "oracle" or model.degenerate:
             e_vals = amplitude_ode_oracle(config.params, config.grid)
         else:
-            e_vals = amplitude(model, taus)
+            e_vals = grid_amplitude(model, config.grid)(0, config.grid.n_points)
     obs = config.observable
     if obs == "amplitude":
         cols = ("tau", "amplitude_re", "amplitude_im", "amplitude_abs")
@@ -639,15 +639,19 @@ class TestScanMemoryAndFailures:
 
     @pytest.fixture
     def third_block_fails(self, monkeypatch):
-        """scenario.amplitude overflows on its third call: the amplitude
+        """The analytic lattice overflows on its third call: the amplitude
         scan below has five blocks."""
-        real, calls = scenario.amplitude, itertools.count()
+        real, calls = scenario.grid_amplitude, itertools.count()
 
-        def failing(*args, **kwargs):
-            out = real(*args, **kwargs)
-            return out * np.inf if next(calls) == 2 else out
+        def failing(model, grid):
+            points = real(model, grid)
 
-        monkeypatch.setattr(scenario, "amplitude", failing)
+            def failing_points(lo, hi):
+                out = points(lo, hi)
+                return out * np.inf if next(calls) == 2 else out
+            return failing_points
+
+        monkeypatch.setattr(scenario, "grid_amplitude", failing)
         rows = scenario._CSV_CHUNK // 4
         yield {**SCAN_FLAGS, "observable": "amplitude", "tau-steps": 5 * rows}, rows
         assert next(calls) == 3  # the scan stopped at the failing block
@@ -959,7 +963,7 @@ class TestCliInputErrors:
         def no_work(*args):
             raise AssertionError("no amplitude or Monte Carlo work may run")
 
-        for name in ("entangling_power_mc_grid", "build_amplitude_model", "amplitude",
+        for name in ("entangling_power_mc_grid", "build_amplitude_model", "grid_amplitude",
                      "propagator"):
             monkeypatch.setattr(scenario, name, no_work)
         argv = ["scan", "--R", "0.1", "--omega-ratio", "1.5e9", "--observable", "power",
@@ -1001,8 +1005,8 @@ class TestCliInputErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_non_finite_amplitude_is_numeric_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(scenario, "amplitude",
-                            lambda model, t: np.full(len(t), np.nan + 0j))
+        monkeypatch.setattr(scenario, "grid_amplitude",
+                            lambda model, grid: lambda lo, hi: np.full(hi - lo, np.nan + 0j))
         assert main(self.BASE) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numeric failure:")
@@ -1011,21 +1015,20 @@ class TestCliInputErrors:
     def test_overflowing_amplitude_is_one_line(self, capsys, R):
         # the analytic route overflows from about R = 1e50 (solve_cubic's
         # Newton polish, amplitude's exp) and must not warn on the way.  On
-        # [0, 50] the phase bound stops these R first; on a grid short enough
-        # to pass it, R = 1e110 and 1e150 still overflow at every tau, while
-        # R = 1e50 overflows only beyond the bound.
+        # [0, 50] the phase bound stops these R first.  On a grid short
+        # enough to pass it, R = 1e110 and 1e150 leave the cubic's roots
+        # inf or NaN, so the model takes the propagator, and R = 1e50 stays
+        # analytic; each gives the large-R limit e^(-tau/2) cos(R tau/sqrt(2))
         argv = self.with_flag(self.BASE, "--R", R)
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: R*tau_end/sqrt(2)")
-        short = self.with_flag(argv, "--tau-max", "1e-150")
-        if R == "1e50":
-            assert main(short) == 0 and capsys.readouterr().err == ""
-            return
-        assert main(short) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("numeric failure: the survival amplitude overflowed")
+        assert main(self.with_flag(argv, "--tau-max", "1e-150")) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        tau, re, im, _ = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1).T
+        limit = np.exp(-tau / 2) * np.cos(float(R) * tau / math.sqrt(2))
+        assert np.max(np.abs(re + 1j * im - limit)) <= 4 * np.finfo(float).eps
 
     def test_phase_bound(self, capsys):
         # Beyond R*tau_end/sqrt(2) = 1e-3/eps (4.5e12) the phase of E is
