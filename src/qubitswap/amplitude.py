@@ -5,8 +5,8 @@ E(tau) (tau = time in units of the inverse cavity linewidth) obeys a
 memory-kernel equation whose Laplace transform reduces to a monic complex
 cubic.  The amplitude is then a sum of three exponentials.  The exact
 propagator exp(M tau) of the equivalent three-dimensional linear system is
-the independent cross-check and the fallback when the cubic roots are
-(near-)degenerate.
+the independent cross-check, and the route that amplitude and grid_amplitude
+take where the cubic's roots are ill-conditioned or overflow.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModel, RangeError
+from .errors import RangeError
 
 # Classical-motion regime: velocity ratios at or above this are rejected.
 BETA_MAX = 1e-3
@@ -28,6 +28,7 @@ _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 _PHASE_MAX = 1e-3 / sys.float_info.epsilon  # R*tau/sqrt(2) whose rounding error is 1e-3
 
 _POINTS_PER_ROW = 64  # K, grid points per row of a grid's lattice (see _lattice)
+_TAUS_PER_CALL = 1024  # taus per _exp_first call in amplitude(): about 1.2 kB each
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ class AmplitudeModel:
     params: ModelParams
     roots: tuple[complex, complex, complex]
     weights: tuple[complex, complex, complex]
-    degenerate: bool = field(default=False)
+    degenerate: bool = False
 
 
 def build_amplitude_model(params: ModelParams) -> AmplitudeModel:
@@ -182,13 +183,13 @@ def build_amplitude_model(params: ModelParams) -> AmplitudeModel:
     route's error with their conditioning eps sum|A_i| scale / gap (gap the
     two closest roots' distance, scale the largest root modulus or 1).  When
     that exceeds 1e-12, the gap is 0 or a root or weight is not finite, the
-    model is flagged degenerate and evaluation must go through the
-    propagator instead: ``propagator`` for a grid's points,
-    ``amplitude_ode_oracle`` for a whole grid.  At beta = 0 the conditioning
-    is about 2 eps / R^2, so every R below about 0.02 is flagged.
+    model is flagged degenerate: amplitude and grid_amplitude then take the
+    propagator.  At beta = 0 the conditioning is about 2 eps / R^2, so every
+    R below about 0.02 is flagged.
     """
     c = cubic_coefficients(params)
-    q = solve_cubic(c)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite roots flag the model
+        q = solve_cubic(c)
     scale = max(1.0, max(abs(qi) for qi in q))
     gap = min(abs(q[i] - q[j]) for i in range(3) for j in range(i + 1, 3))
     yp, ym = params.y_plus, params.y_minus
@@ -203,20 +204,23 @@ def build_amplitude_model(params: ModelParams) -> AmplitudeModel:
 
 
 def amplitude(model: AmplitudeModel, tau) -> complex | np.ndarray:
-    """E(tau) from the exponential sum.  Accepts a scalar or an array of taus."""
-    if model.degenerate:
-        raise DegenerateModel("near-degenerate roots: evaluate via amplitude_ode_oracle")
+    """E(tau) at a scalar or an array of taus; a flagged model's from exp(M tau)."""
     t = np.asarray(tau, dtype=float)
     check_phase(model.params.R, np.abs(t).max(initial=0.0))
-    # np.multiply keeps a * exp(q t) in that operand order at 16 384 points and more
-    out = sum(np.multiply(a, np.exp(qi * t)) for a, qi in zip(model.weights, model.roots))
+    if model.degenerate:  # e0' exp(M tau) e0, _TAUS_PER_CALL taus at a time
+        out, k = np.empty(t.shape, complex), _TAUS_PER_CALL
+        for i in range(0, t.size, k):
+            out.flat[i:i + k] = _exp_first(model.params, t.flat[i:i + k])[0, 0]
+    else:
+        # np.multiply keeps a * exp(q t) in that operand order at 16 384 points and more
+        out = sum(np.multiply(a, np.exp(qi * t)) for a, qi in zip(model.weights, model.roots))
     return out if out.ndim else out.item()
 
 
 def grid_amplitude(model: AmplitudeModel, grid: TimeGrid) -> Callable[[int, int], np.ndarray]:
     """E at grid points lo..hi-1: _lattice's row A_i exp(q_i t_c), column exp(q_i i h)."""
-    if model.degenerate:
-        raise DegenerateModel("near-degenerate roots: evaluate via propagator")
+    if model.degenerate:  # the propagator's points
+        return propagator(model.params, grid)
     check_phase(model.params.R, grid.tau_end)
     a, q = np.array(model.weights)[:, None], np.array(model.roots)[:, None]
     return _lattice(grid, lambda t: a * np.exp(q * t), lambda s: np.exp(q * s))
@@ -249,6 +253,15 @@ def _exp_increments(m: np.ndarray, spans) -> np.ndarray:
     return d
 
 
+def _exp_first(params: ModelParams, spans) -> np.ndarray:
+    """exp(M span) for each span, right in its first row and column (M: see propagator)."""
+    g = params.R / 2
+    m = np.array([[0, -g, -g], [g, -params.y_plus, 0], [g, 0, -params.y_minus]], dtype=complex)
+    inc = _exp_increments(m, spans)
+    inc[0, 0] += 1
+    return inc
+
+
 def amplitude_ode_oracle(params: ModelParams, grid: TimeGrid) -> np.ndarray:
     """E on the whole grid from the exact propagator (see propagator)."""
     return propagator(params, grid)(0, grid.n_points)
@@ -272,15 +285,7 @@ def propagator(params: ModelParams, grid: TimeGrid) -> Callable[[int, int], np.n
     of the analytic route and holds where those roots coincide.
     """
     check_phase(params.R, grid.tau_end)
-    g = params.R / 2
-    m = np.array([[0, -g, -g], [g, -params.y_plus, 0], [g, 0, -params.y_minus]], dtype=complex)
-
-    def first(spans):  # the first row and column of exp(M span) for each span
-        inc = _exp_increments(m, spans)
-        inc[0, 0] += 1
-        return inc
-
-    return _lattice(grid, lambda t: first(t)[0], lambda s: first(s)[:, 0])
+    return _lattice(grid, lambda t: _exp_first(params, t)[0], lambda s: _exp_first(params, s)[:, 0])
 
 
 def _lattice(grid: TimeGrid, row, col) -> Callable[[int, int], np.ndarray]:

@@ -9,12 +9,6 @@ class RangeError(QubitSwapError):
     """A parameter violated one of its documented invariants."""
 
 
-class DegenerateModel(QubitSwapError):
-    """The cubic has (near-)repeated or non-finite roots or weights; the
-    exponential-sum form is ill-conditioned or overflowed, and callers must
-    fall back to the matrix-exponential propagator."""
-
-
 class ZeroNorm(QubitSwapError):
     """Bell-measurement projection has vanishing success probability: X = Y = 0."""
 

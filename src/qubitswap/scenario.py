@@ -210,15 +210,12 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     for taus in grid.tau_blocks(rows):  # fail before any amplitude or power work
         _check_increasing(taus, last)
         last = taus[-1]
-    # An overflow inside a route is reported once, as NonFiniteResult below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        model = build_amplitude_model(config.params)
-        oracle = config.method == "oracle" or model.degenerate
-        points = propagator(config.params, grid) if oracle else grid_amplitude(model, grid)
+    points = (propagator(config.params, grid) if config.method == "oracle"
+              else grid_amplitude(build_amplitude_model(config.params), grid))
 
     def blocks():
         for b, taus in enumerate(grid.tau_blocks(rows)):
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):  # reported once, just below
                 e_vals = points(b * rows, b * rows + len(taus))
             if not np.all(np.isfinite(e_vals)):
                 raise NonFiniteResult(f"the survival amplitude overflowed for {config.params}")

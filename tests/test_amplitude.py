@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qubitswap.amplitude import (
     propagator,
     solve_cubic,
 )
-from qubitswap.errors import DegenerateModel, RangeError
+from qubitswap.errors import RangeError
 from qubitswap.scenario import _CSV_CHUNK, COLUMNS, STRONG, WEAK, ScenarioConfig, run_scan
 
 
@@ -181,8 +182,7 @@ class TestPhaseBound:
     MESSAGE = r"^R\*tau_end/sqrt\(2\) = .* exceeds 4\.5e\+12, where the phase"
 
     def test_amplitude_checks_its_largest_tau(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            model = build_amplitude_model(ModelParams(R=1e100, beta=0.0, Omega=1.5e9))
+        model = build_amplitude_model(ModelParams(R=1e100, beta=0.0, Omega=1.5e9))
         with pytest.raises(RangeError, match=self.MESSAGE):
             amplitude(model, [0.5, 1.0])
         model = build_amplitude_model(ModelParams(R=1e10, beta=0.0, Omega=1.5e9))
@@ -199,10 +199,8 @@ class TestPhaseBound:
                 amplitude_ode_oracle(params, TimeGrid(0.0, 700.0, 3))
             with pytest.raises(RangeError, match=self.MESSAGE):
                 propagator(params, TimeGrid(0.0, 700.0, 3))
-            with np.errstate(over="ignore", invalid="ignore"):
-                model = build_amplitude_model(params)
             with pytest.raises(RangeError, match=self.MESSAGE):
-                grid_amplitude(model, TimeGrid(0.0, 700.0, 3))
+                grid_amplitude(build_amplitude_model(params), TimeGrid(0.0, 700.0, 3))
         e = amplitude_ode_oracle(ModelParams(R=1e10, beta=0.0, Omega=1.5e9),
                                  TimeGrid(0.0, 600.0, 3))
         assert e[0] == 1 and np.all(np.isfinite(e))
@@ -290,27 +288,69 @@ class TestAmplitudeModel:
         assert abs(sum(model.weights) - 1) < 1e-10
         assert abs(sum(a * q for a, q in zip(model.weights, model.roots))) < 1e-10
 
-    def test_degenerate_flagged_and_refused(self):
-        # R = 1/sqrt(2) at rest: the quadratic factor has a double root
+    def test_degenerate_flagged_and_answered(self):
+        # R = 1/sqrt(2) at rest: the quadratic factor has a double root, and
+        # the confluent closed form is exp(-tau/2)(1 + tau/2)
         model = build_amplitude_model(ModelParams(R=1 / math.sqrt(2), beta=0.0, Omega=1.0))
         assert model.degenerate
-        with pytest.raises(DegenerateModel):
-            amplitude(model, 1.0)
-        with pytest.raises(DegenerateModel):
-            grid_amplitude(model, TimeGrid())
+        one = amplitude(model, 1.5)
+        assert type(one) is complex and abs(one - math.exp(-0.75) * 1.75) <= 1e-12
+        grid = TimeGrid(0.0, 50.0, 1001)
+        taus = grid.taus()
+        assert np.max(np.abs(amplitude(model, taus) - np.exp(-taus / 2) * (1 + taus / 2))) <= 1e-12
+        points = grid_amplitude(model, grid)(0, grid.n_points)
+        assert points.tobytes() == propagator(model.params, grid)(0, grid.n_points).tobytes()
 
     @pytest.mark.parametrize("R", [1e110, 1e150])
-    def test_overflowed_roots_are_flagged_and_refused(self, R):
+    def test_overflowed_roots_are_flagged_and_answered(self, R):
         # the cubic's roots overflow to inf and NaN, so the conditioning is
-        # NaN; the model must take the propagator, not give NaN amplitudes
-        with np.errstate(over="ignore", invalid="ignore"):
-            model = build_amplitude_model(ModelParams(R=R, beta=0.0, Omega=1.5e9))
+        # NaN; the model takes the propagator, not NaN amplitudes.  Built
+        # without np.errstate: the overflow must not warn (pytest makes a
+        # warning an error).  E is the large-R limit exp(-tau/2) cos(R tau/sqrt(2)),
+        # within a few eps times the phase, which reaches 7 here.
+        model = build_amplitude_model(ModelParams(R=R, beta=0.0, Omega=1.5e9))
         assert not np.isfinite([*model.roots, *model.weights]).all()
         assert model.degenerate
-        with pytest.raises(DegenerateModel):
-            amplitude(model, 1e-150)
-        with pytest.raises(DegenerateModel):
-            grid_amplitude(model, TimeGrid(0.0, 1e-150, 3))
+        grid = TimeGrid(0.0, 10 / R, 41)
+        taus = grid.taus()
+        limit = np.exp(-taus / 2) * np.cos(R * taus / math.sqrt(2))
+        assert np.max(np.abs(amplitude(model, taus) - limit)) <= 1e-14
+        assert abs(amplitude(model, taus[7]) - limit[7]) <= 1e-14
+        points = grid_amplitude(model, grid)(0, grid.n_points)
+        assert np.max(np.abs(points - limit)) <= 1e-14
+        assert points.tobytes() == propagator(model.params, grid)(0, grid.n_points).tobytes()
+
+    def test_flagged_amplitude_equals_the_propagator_at_any_taus(self):
+        # every R below about 0.02 is flagged at beta = 0; amplitude() takes
+        # exp(M tau) at each tau, so a tau has the same bits alone, in any
+        # array and at any place in it, and the grid's values within 1e-12
+        params = ModelParams(R=0.01, beta=0.0, Omega=1.5e9)
+        model = build_amplitude_model(params)
+        assert model.degenerate
+        grid = TimeGrid(0.0, 50.0, 1001)
+        out = amplitude(model, grid.taus())
+        assert np.max(np.abs(out - amplitude_ode_oracle(params, grid))) <= 1e-12
+        taus = np.random.default_rng(5).uniform(0.0, 50.0, (3, 700))
+        shaped = amplitude(model, taus)
+        assert shaped.shape == (3, 700)
+        assert shaped.tobytes() == amplitude(model, taus.reshape(-1)[::-1])[::-1].tobytes()
+        assert all(amplitude(model, t) == shaped[1, j] for j, t in enumerate(taus[1, :50]))
+        assert amplitude(model, []).shape == (0,)
+
+    def test_flagged_amplitude_memory_is_bounded(self):
+        # a flagged model's amplitude() takes its taus a bounded slice at a
+        # time: one call on all of them took about 1.2 kB a tau, 116 MB here
+        model = build_amplitude_model(ModelParams(R=0.01, beta=0.0, Omega=1.5e9))
+        taus = np.linspace(0.0, 50.0, 100_000)
+        amplitude(model, taus[:10])
+        tracemalloc.start()
+        try:
+            out = amplitude(model, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == taus.shape and np.all(np.isfinite(out))
+        assert peak < 8e6
 
     @pytest.mark.parametrize("params,degenerate", [
         *((p, False) for p in WEAK + STRONG),  # conditioning 4.5e-14 (WEAK[0]), else 2.2e-16
@@ -508,10 +548,12 @@ class TestOdeOracle:
         params = ModelParams(R=2e-3, beta=1e-8, Omega=0.05)
         exact = complex(0.9999992642412315860492299350202176718187,
                         -4.667384651355145394772226920414679652585e-25)
-        assert build_amplitude_model(params).degenerate
+        model = build_amplitude_model(params)
+        assert model.degenerate
         config = ScenarioConfig(params, TimeGrid(0.0, 1.0, 2), "amplitude")
         re, im, _ = run_scan(config).values[-1]
         assert abs(complex(re, im) - exact) <= 1e-15
+        assert abs(amplitude(model, 1.0) - exact) <= 1e-15
 
     @pytest.mark.parametrize("rows", sorted({
         1, 2, 7, 23, 25, _POINTS_PER_ROW - 1, _POINTS_PER_ROW + 1, 250, 500, 4097,

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import math
@@ -494,12 +495,11 @@ def reference_run_scan(config):
     """The whole-grid scan, the reference for run_scan's blocks: every
     column of the whole grid at once, as one array expression each."""
     taus = config.grid.taus()
-    with np.errstate(over="ignore", invalid="ignore"):
-        model = build_amplitude_model(config.params)
-        if config.method == "oracle" or model.degenerate:
-            e_vals = amplitude_ode_oracle(config.params, config.grid)
-        else:
-            e_vals = grid_amplitude(model, config.grid)(0, config.grid.n_points)
+    if config.method == "oracle":
+        e_vals = amplitude_ode_oracle(config.params, config.grid)
+    else:
+        e_vals = grid_amplitude(build_amplitude_model(config.params), config.grid)(
+            0, config.grid.n_points)
     obs = config.observable
     if obs == "amplitude":
         cols = ("tau", "amplitude_re", "amplitude_im", "amplitude_abs")
@@ -609,8 +609,11 @@ class TestScanMemoryAndFailures:
         # A scan block stays 16 384 values (written out here, not read from
         # _CSV_CHUNK) while the formatter takes it in pieces: each points()
         # call pays about 0.2 ms of fixed cost, and halving the block made a
-        # 1e6-point fallback density scan 15-20 % slower.
-        real, calls = scenario.propagator, []
+        # 1e6-point fallback density scan 15-20 % slower.  The fallback is
+        # the amplitude module's own propagator, reached through
+        # importlib: the package's amplitude function hides that module.
+        module, calls = importlib.import_module("qubitswap.amplitude"), []
+        real = module.propagator
 
         def counting(params, grid):
             points = real(params, grid)
@@ -620,7 +623,7 @@ class TestScanMemoryAndFailures:
                 return points(lo, hi)
             return counted
 
-        monkeypatch.setattr(scenario, "propagator", counting)
+        monkeypatch.setattr(module, "propagator", counting)
         n, rows = 100_000, (1 << 14) // 5
         flags = {**SCAN_FLAGS, **DEGENERATE, "observable": "density", "tau-steps": n,
                  "out": os.devnull}
@@ -1078,7 +1081,11 @@ def box_sweep_inputs():
     log-uniform draws, then the structured points where a route once failed
     or went wrong: R = 1/sqrt(2) at beta = 0 (coinciding roots), R = 2e-3
     with beta = 1e-8 and Omega = 0.05 (a close pair), the near-triple root at
-    three beta, and beta*Omega = 150 and 750."""
+    three beta, and beta*Omega = 150 and 750.  Last, the top of R's range at
+    beta = 1e-8 and Omega = 1.5e9, up to the box's 1.34e154: R = 1e20, 1e50
+    and 1e100 at the phase 4e12, which stay analytic on roots that solve_cubic
+    gets only roughly, and R = 1e150 and 1.3e154, whose roots overflow, so
+    they take the propagator."""
     rng = np.random.default_rng(2501)
 
     def log_uniform(lo, hi):
@@ -1093,6 +1100,10 @@ def box_sweep_inputs():
         yield 0.769800358919501, beta, 0.19245008972987526 / beta, 50.0
     yield 10.0, 1e-7, 1.5e9, 50.0
     yield 1000.0, 5e-7, 1.5e9, 50.0
+    for R in (1e20, 1e50, 1e100):
+        yield R, 1e-8, 1.5e9, 4e12 * math.sqrt(2) / R
+    yield 1e150, 1e-8, 1.5e9, 1e-150
+    yield 1.3e154, 1e-8, 1.5e9, 1e-154
 
 
 class TestBoxSweep:
@@ -1145,11 +1156,14 @@ CHECK_NAMES = [name for name, _ in validate.ALL_CHECKS]
 
 # (check, the function it checks, which of its calls is spoiled and how, the
 # worst and the bound that validate then prints); concurrence-oracle calls
-# concurrence_wootters once, on its whole batch, and its fifth value is spoiled
+# concurrence_wootters once, on its whole batch, and its fifth value is spoiled;
+# a spoiled lattice is the scans' amplitudes off where amplitude() is not
 SPOILED = [
     ("ode-oracle-agreement", "amplitude_ode_oracle", 4, lambda out: out + 2e-10, "2e-10", "1e-10"),
     ("ode-oracle-agreement", "amplitude_ode_oracle", 4, lambda out: np.append(out[:-1], np.nan),
      "nan", "1e-10"),
+    ("ode-oracle-agreement", "grid_amplitude", 4,
+     lambda points: lambda lo, hi: points(lo, hi) + 2e-10, "2e-10", "1e-10"),
     ("concurrence-oracle", "concurrence_wootters", 0, lambda c: np.r_[c[:4], np.nan, c[5:]],
      "nan", "1e-08"),
 ]
