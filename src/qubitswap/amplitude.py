@@ -78,15 +78,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class CubicCoefficients:
-    """Coefficients of the monic characteristic cubic q^3 + a2 q^2 + a1 q + a0."""
-
-    a2: complex
-    a1: complex
-    a0: complex
-
-
-@dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid in scaled time tau.  The default, 1000 points on
     [0, 50], is the window of the published figures."""
@@ -132,6 +123,11 @@ class TimeGrid:
             yield y
 
 
+def _py(x):
+    """A 0-d result as a Python float or complex, an array as it is."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
+
+
 def check_phase(R: float, tau_max: float) -> None:
     """RangeError where the phase R*tau_max/sqrt(2) exceeds _PHASE_MAX."""
     if (phase := R * tau_max / math.sqrt(2)) > _PHASE_MAX:
@@ -139,26 +135,27 @@ def check_phase(R: float, tau_max: float) -> None:
                          "the phase of the survival amplitude is uncertain by about 1e-3")
 
 
-def cubic_coefficients(params: ModelParams) -> CubicCoefficients:
-    """Characteristic cubic of the Laplace-domain amplitude."""
+def cubic_coefficients(params: ModelParams) -> tuple[complex, complex, complex]:
+    """(a2, a1, a0) of the amplitude's monic cubic q^3 + a2 q^2 + a1 q + a0."""
     yp, ym = params.y_plus, params.y_minus
     half_r2 = params.R**2 / 2
-    return CubicCoefficients(a2=2.0 + 0j, a1=yp * ym + half_r2, a0=half_r2 + 0j)
+    return 2.0 + 0j, yp * ym + half_r2, half_r2 + 0j
 
 
-def solve_cubic(c: CubicCoefficients) -> list[complex]:
-    """All three roots of the monic cubic, sorted by (Re, Im) ascending.
+def solve_cubic(c: tuple[complex, complex, complex]) -> list[complex]:
+    """All three roots of the cubic c = (a2, a1, a0), sorted by (Re, Im) ascending.
 
     Companion-matrix eigenvalues polished with one Newton step, unless the
     step exceeds 1e-8 of the root's scale: at a (near-)double root p' is
     about 0 and the step would throw the root off.  The residual bound
     |p(r)| <= 1e-9 * max(1, |r|^3) is asserted by the tests, not here.
     """
-    roots = np.roots([1.0, c.a2, c.a1, c.a0]).astype(complex)
+    a2, a1, a0 = c
+    roots = np.roots([1.0, a2, a1, a0]).astype(complex)
     polished = []
     for r in roots:
-        p = ((r + c.a2) * r + c.a1) * r + c.a0
-        dp = (3 * r + 2 * c.a2) * r + c.a1
+        p = ((r + a2) * r + a1) * r + a0
+        dp = (3 * r + 2 * a2) * r + a1
         if dp != 0 and abs(p) <= 1e-8 * abs(dp) * max(1.0, abs(r)):
             r = r - p / dp
         polished.append(complex(r))
@@ -214,7 +211,7 @@ def amplitude(model: AmplitudeModel, tau) -> complex | np.ndarray:
     else:
         # np.multiply keeps a * exp(q t) in that operand order at 16 384 points and more
         out = sum(np.multiply(a, np.exp(qi * t)) for a, qi in zip(model.weights, model.roots))
-    return out if out.ndim else out.item()
+    return _py(out)
 
 
 def grid_amplitude(model: AmplitudeModel, grid: TimeGrid) -> Callable[[int, int], np.ndarray]:

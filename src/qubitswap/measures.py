@@ -18,16 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .amplitude import _py
 from .errors import NonPhysicalInput, RangeError, ZeroNorm
 
 # Basis order for all 4x4 matrices: |ee>, |eg>, |ge>, |gg>.
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _SYSY = np.kron(_SIGMA_Y, _SIGMA_Y)
-
-
-def _py(x):
-    """A 0-d result as a Python float or complex, an array as it is."""
-    return np.asarray(x).item() if np.ndim(x) == 0 else x
 
 
 def _abs(z):

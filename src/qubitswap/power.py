@@ -25,7 +25,8 @@ so below p = 1/4 the rational series P = sum_k p^k (r_k + beta_k ln 2p) of
 the same expression is used (tests/test_power.py regenerates its
 coefficients).  Both branches stay within 2e-15 relative of 40-digit
 values.  Seeded Monte Carlo over the full 4-angle measure is the
-independent cross-check.
+independent cross-check.  Both estimators take a scalar p or an array,
+by the measures' rule: a scalar gives Python floats.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .amplitude import _py
 from .errors import RangeError
 
 # |B_2k| / (2k (2k+1)!), k = 1..14
@@ -88,41 +90,27 @@ def _checked_p(p) -> np.ndarray:
     return p
 
 
-def _horner(coeffs, x: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] x^k."""
-    acc = np.zeros(x.shape)
-    for c in coeffs[::-1]:
-        acc = acc * x + c
-    return acc
-
-
-def entangling_power_grid(p) -> np.ndarray:
-    """Entangling power for an array of survival probabilities, in closed
-    form; exactly 0.0 where p = 0."""
+def entangling_power_grid(p) -> float | np.ndarray:
+    """Entangling power at a scalar or an array of survival probabilities, in
+    closed form; exactly 0.0 where p = 0."""
     p = _checked_p(p)
     out = np.zeros(p.shape)
     small, large = (p > 0) & (p < _SERIES_BELOW), p >= _SERIES_BELOW
     q = p[small]
-    out[small] = q * (_horner(_R, q) + np.log(2 * q) * _horner(_BETA, q))
+    out[small] = q * (np.polyval(_R[::-1], q) + np.log(2 * q) * np.polyval(_BETA[::-1], q))
     q = p[large]
     c = np.arccos(1 - q)
-    cl2 = c * (1 - np.log(c) + c * c * _horner(_CL2, c * c))
+    cl2 = c * (1 - np.log(c) + c * c * np.polyval(_CL2[::-1], c * c))
     t = 2 - q
     out[large] = ((1 - q) / t - (1 + q) * np.log(2 * q) / (t * t)
                   + 2 * (2 * q - 1) * cl2 / (t * t * np.sqrt(q * t)))
-    return np.clip(out, 0.0, 1.0)
+    return _py(np.clip(out, 0.0, 1.0))
 
 
-def entangling_power_quadrature(p: float) -> float:
-    """Entangling power at one survival probability p, in closed form (the
-    name predates the closed form)."""
-    return float(entangling_power_grid(p))
-
-
-def entangling_power_mc_grid(p, spec: MonteCarloSpec,
-                             stderr: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Monte Carlo (mean, standard error) arrays of p's shape; with stderr
-    false, no sums of squares and None for the errors (a scan writes means).
+def entangling_power_mc_grid(p, spec: MonteCarloSpec, stderr: bool = True
+                             ) -> tuple[float | np.ndarray, float | np.ndarray | None]:
+    """Monte Carlo (mean, standard error) at a scalar p, or arrays of p's shape; with
+    stderr false, no sums of squares and None for the errors (a scan writes means).
 
     u = cos(theta) uniform on [-1, 1] and phi uniform on [0, 2pi) are drawn
     for both qubits on each call, seeded, the same samples every time (so a
@@ -171,7 +159,7 @@ def entangling_power_mc_grid(p, spec: MonteCarloSpec,
     if stderr and n > 1:  # rounding can take the one-pass sum of squares below 0
         sq_dev = np.maximum(totals[1] - totals[0] * (totals[0] / n), 0.0)
         stderrs[pos] = np.ldexp(np.sqrt(sq_dev / (n - 1)), -k) / math.sqrt(n)
-    return means, stderrs
+    return _py(means), _py(stderrs)  # _py(None) is None
 
 
 def _streams(spec: MonteCarloSpec) -> list:
@@ -194,7 +182,5 @@ def _ratios(streams: list, m: int) -> np.ndarray:
     return np.divide(y_sq, two_c1c2_sq, out=np.full(m, math.inf), where=two_c1c2_sq > 0)
 
 
-def entangling_power_mc(p: float, spec: MonteCarloSpec) -> tuple[float, float]:
-    """Monte Carlo (mean, standard error) at one survival probability p."""
-    mean, stderr = entangling_power_mc_grid(p, spec)
-    return float(mean), float(stderr)
+entangling_power_quadrature = entangling_power_grid  # the name predates the closed form
+entangling_power_mc = entangling_power_mc_grid  # both names are documented API

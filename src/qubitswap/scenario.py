@@ -210,8 +210,9 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     for taus in grid.tau_blocks(rows):  # fail before any amplitude or power work
         _check_increasing(taus, last)
         last = taus[-1]
-    points = (propagator(config.params, grid) if config.method == "oracle"
-              else grid_amplitude(build_amplitude_model(config.params), grid))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite column is reported below
+        points = (propagator(config.params, grid) if config.method == "oracle"
+                  else grid_amplitude(build_amplitude_model(config.params), grid))
 
     def blocks():
         for b, taus in enumerate(grid.tau_blocks(rows)):

@@ -54,14 +54,14 @@ def check_model_invariants():
         if model.degenerate:
             continue
         q, a = model.roots, model.weights
-        c = cubic_coefficients(params)
+        _, a1, a0 = cubic_coefficients(params)
         scale = max(1.0, max(abs(x) for x in q))
         errs.append([
             abs(sum(a) - 1),
             abs(sum(ai * qi for ai, qi in zip(a, q))),
             abs(sum(q) + 2) / scale,
-            abs(q[0] * q[1] + q[0] * q[2] + q[1] * q[2] - c.a1) / max(1.0, abs(c.a1)),
-            abs(q[0] * q[1] * q[2] + c.a0) / max(1.0, abs(c.a0)),
+            abs(q[0] * q[1] + q[0] * q[2] + q[1] * q[2] - a1) / max(1.0, abs(a1)),
+            abs(q[0] * q[1] * q[2] + a0) / max(1.0, abs(a0)),
         ])
     # normalization and Vieta's formulas; at most 9 of the 100 draws skipped
     return _tightest((np.max(errs), 1e-10), (100 - len(errs), 9))

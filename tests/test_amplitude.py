@@ -27,7 +27,8 @@ from qubitswap.scenario import _CSV_CHUNK, COLUMNS, STRONG, WEAK, ScenarioConfig
 
 
 def residual(c, r):
-    return abs(((r + c.a2) * r + c.a1) * r + c.a0)
+    a2, a1, a0 = c
+    return abs(((r + a2) * r + a1) * r + a0)
 
 
 def rk4_loop_reference(params, grid, step=1e-3):
@@ -168,7 +169,8 @@ class TestModelParams:
 
     def test_largest_r_builds_coefficients(self):
         r_max = math.sqrt(sys.float_info.max)
-        assert math.isfinite(cubic_coefficients(ModelParams(r_max, 0.0, 1.0)).a0.real)
+        _, _, a0 = cubic_coefficients(ModelParams(r_max, 0.0, 1.0))
+        assert math.isfinite(a0.real)
         with pytest.raises(RangeError):
             ModelParams(math.nextafter(r_max, math.inf), 0.0, 1.0)
 
@@ -210,23 +212,23 @@ class TestPhaseBound:
 
 class TestCubicCoefficients:
     def test_static_weak(self):
-        c = cubic_coefficients(ModelParams(R=0.1, beta=0.0, Omega=1.5e9))
+        a2, a1, a0 = cubic_coefficients(ModelParams(R=0.1, beta=0.0, Omega=1.5e9))
         # beta=0 forces y+ y- = 1 exactly
-        assert c.a2 == 2
-        assert c.a1 == pytest.approx(1.005)
-        assert c.a0 == pytest.approx(0.005)
+        assert a2 == 2
+        assert a1 == pytest.approx(1.005)
+        assert a0 == pytest.approx(0.005)
 
     def test_static_strong(self):
-        c = cubic_coefficients(ModelParams(R=10.0, beta=0.0, Omega=7.0))
-        assert c.a1 == pytest.approx(51.0)
-        assert c.a0 == pytest.approx(50.0)
+        _, a1, a0 = cubic_coefficients(ModelParams(R=10.0, beta=0.0, Omega=7.0))
+        assert a1 == pytest.approx(51.0)
+        assert a0 == pytest.approx(50.0)
 
     def test_moving(self):
         # y+ y- = 1 - beta^2 (1 + i Omega)^2, expanded symbolically
         beta, omega = 2e-9, 1.5e9
-        c = cubic_coefficients(ModelParams(R=0.1, beta=beta, Omega=omega))
+        _, a1, _ = cubic_coefficients(ModelParams(R=0.1, beta=beta, Omega=omega))
         expected = 1 - beta**2 * (1 + 1j * omega) ** 2 + 0.005
-        assert c.a1 == pytest.approx(expected, rel=1e-14)
+        assert a1 == pytest.approx(expected, rel=1e-14)
         assert expected.real == pytest.approx(10.005, rel=1e-9)
         assert expected.imag == pytest.approx(-1.2e-8, rel=1e-9)
 
@@ -248,22 +250,14 @@ class TestSolveCubic:
         assert roots == pytest.approx(expected, abs=1e-9)
 
     def test_zero_constant_term(self):
-        from qubitswap.amplitude import CubicCoefficients
-
-        c = CubicCoefficients(a2=2.0, a1=1.0 + 0.5j, a0=0.0)
+        c = (2.0, 1.0 + 0.5j, 0.0)
         roots = solve_cubic(c)
         assert min(abs(r) for r in roots) < 1e-12
 
     def test_residual_bound_random(self):
         rng = np.random.default_rng(3)
-        from qubitswap.amplitude import CubicCoefficients
-
         for _ in range(200):
-            c = CubicCoefficients(
-                a2=complex(*rng.normal(0, 10, 2)),
-                a1=complex(*rng.normal(0, 10, 2)),
-                a0=complex(*rng.normal(0, 10, 2)),
-            )
+            c = tuple(complex(*rng.normal(0, 10, 2)) for _ in range(3))  # (a2, a1, a0)
             for r in solve_cubic(c):
                 assert residual(c, r) <= 1e-9 * max(1.0, abs(r) ** 3)
 

@@ -394,6 +394,10 @@ class TestOneDimensionalRule:
         for p, val in zip(ps, vals):
             assert val == entangling_power_quadrature(float(p))
         assert np.array_equal(entangling_power_grid(ps.reshape(2, -1)), vals.reshape(2, -1))
+        # a scalar p gives a Python float with the one-element array's bits
+        for p in (0.3, *ps[:5]):
+            scalar, (one,) = entangling_power_grid(p), entangling_power_grid(np.array([p]))
+            assert type(scalar) is float and scalar == one
 
     def test_endpoints_without_warnings(self):
         with warnings.catch_warnings():
@@ -478,13 +482,20 @@ class TestMonteCarlo:
         assert a != b
 
     def test_shared_draws_match_per_p_loop(self):
-        ps = np.array([0.0, 1e-300, 1e-12, 0.25, 0.5, 1.0])
+        ps = np.array([0.0, 1e-300, 1e-12, 0.25, 0.3, 0.5, 1.0])
         for spec in (MonteCarloSpec(n_samples=20_000, seed=3), MonteCarloSpec(n_samples=1, seed=3)):
             means, stderrs = entangling_power_mc_grid(ps, spec)
             for p, mean, stderr in zip(ps, means, stderrs):
                 ref = mc_half_angle_reference(float(p), spec)
                 assert (mean, stderr) == ref
                 assert entangling_power_mc(float(p), spec) == ref
+                # a scalar p gives Python floats with the one-element array's bits
+                scalar = entangling_power_mc_grid(float(p), spec)
+                assert [type(x) for x in scalar] == [float, float] and scalar == ref
+                (one_mean,), (one_stderr,) = entangling_power_mc_grid(np.array([p]), spec)
+                assert scalar == (one_mean, one_stderr)
+                mean_only = entangling_power_mc_grid(float(p), spec, stderr=False)
+                assert type(mean_only[0]) is float and mean_only == (one_mean, None)
 
     @pytest.mark.parametrize("seed", [3, 9, 1999951809])
     def test_matches_complex_arithmetic(self, seed):

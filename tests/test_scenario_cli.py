@@ -686,6 +686,20 @@ class TestScanMemoryAndFailures:
         assert out.count("\n") == 1 + 2 * rows  # the header and two blocks
         assert err.startswith("numeric failure: the survival amplitude overflowed")
 
+    @pytest.mark.parametrize("omega,method", [
+        ("1.001001001001001e103", "analytic"), ("1.001001001001001e103", "oracle"),
+        ("1.001001001001001e23", "oracle"), ("1.3e157", "analytic")])
+    def test_large_beta_omega_fails_on_one_line(self, capsys, omega, method):
+        # inside the documented box, but the lattice's columns overflow: one
+        # line on stderr, no RuntimeWarning from forming them
+        argv = ["scan", "--R", "10", "--beta", "9.99e-4", "--omega-ratio", omega,
+                "--method", method, "--observable", "entropy-avg", "--tau-steps", "11",
+                "--out", "-"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numeric failure: the survival amplitude overflowed")
+
     THREE_BLOCKS = {**SCAN_FLAGS, "observable": "amplitude",
                     "tau-steps": 3 * (scenario._CSV_CHUNK // 4)}
 
