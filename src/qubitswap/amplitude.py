@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,26 +101,23 @@ class TimeGrid:
                 f"n_points must be >= {min_points} for this span, got {self.n_points}"
             )
 
-    def taus(self) -> np.ndarray:
-        return np.linspace(self.tau_start, self.tau_end, self.n_points)
-
-    def tau_blocks(self, rows: int) -> Iterator[np.ndarray]:
-        """taus() in blocks of rows points, bit for bit, never all at once:
-        np.linspace is arange(n) * step + start with its last point set to
-        tau_end."""
+    def taus(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Points lo to hi - 1 of np.linspace's grid, bit for bit, all of them
+        by default; hi is clamped to n_points.  np.linspace is arange(n) *
+        step + start with its last point set to tau_end."""
         n, div, delta = self.n_points, self.n_points - 1, self.tau_end - self.tau_start
+        hi = n if hi is None else min(hi, n)
         step = delta / div if div else 0.0
-        for lo in range(0, n, rows):
-            y = np.arange(lo, min(lo + rows, n), dtype=float)
-            if step:
-                y *= step
-            else:  # one point, or a step that underflowed: numpy divides first
-                y /= max(div, 1)
-                y *= delta
-            y += self.tau_start
-            if lo + rows >= n > 1:
-                y[-1] = self.tau_end
-            yield y
+        y = np.arange(lo, hi, dtype=float)
+        if step:
+            y *= step
+        else:  # one point, or a step that underflowed: numpy divides first
+            y /= max(div, 1)
+            y *= delta
+        y += self.tau_start
+        if lo < hi == n > 1:
+            y[-1] = self.tau_end
+        return y
 
 
 def _py(x):

@@ -73,24 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_scan(args) -> int:
-    file_text = None
-    if args.config is not None:
-        file_text = args.config.read_text(encoding="utf-8")
-    flags = {key: getattr(args, key.replace("-", "_")) for key in OPTIONS}
-    flags = {k: "--" if v == [] else v for k, v in flags.items()}  # "--k=--" gave [] before 3.13
-    config = parse_config(flags, file_text=file_text)
-    emit_csv(config, config.out)
-    return EXIT_OK
-
-
-def _cmd_figure(args) -> int:
-    paths = run_figure(args.id, args.outdir)
-    for path in paths:
-        print(f"wrote {path}")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     _keep_freed_memory()
     parser = _build_parser()
@@ -100,13 +82,21 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        if args.command == "scan":
-            return _cmd_scan(args)
-        if args.command == "figure":
-            return _cmd_figure(args)
         if args.command == "validate":
             return EXIT_OK if validate.run_all() else EXIT_NUMERIC
-        return EXIT_USAGE
+        if args.command == "figure":
+            for path in run_figure(args.id, args.outdir):
+                print(f"wrote {path}")
+            return EXIT_OK
+        file_text = None  # scan: the sub-command is required, so no other is left
+        if args.config is not None:
+            file_text = args.config.read_text(encoding="utf-8")
+        flags = {key: getattr(args, key.replace("-", "_")) for key in OPTIONS}
+        # "--k=--" gave [] before 3.13
+        flags = {k: "--" if v == [] else v for k, v in flags.items()}
+        config = parse_config(flags, file_text=file_text)
+        emit_csv(config, config.out)
+        return EXIT_OK
     except (ParseError, RangeError, UnknownFigure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,6 +20,7 @@ from .errors import NonFiniteResult, ParseError, RangeError, UnknownFigure
 from .format17 import format_g17
 from .measures import (
     BlochAngles,
+    _checked_abs_e,
     average_linear_entropy,
     concurrence_closed,
     density_populations,
@@ -27,8 +28,8 @@ from .measures import (
     post_bsm_projection,
     survival_probability,
 )
-from .power import MonteCarloSpec, entangling_power_grid, entangling_power_mc_grid
-from .power import entangling_power_mc, entangling_power_quadrature  # noqa: F401 (re-exported)
+from .power import MonteCarloSpec, entangling_power_grid, entangling_power_mc
+from .power import entangling_power_quadrature  # noqa: F401 (re-exported)
 
 COLUMNS = {  # observable -> CSV columns
     "amplitude": ("tau", "amplitude_re", "amplitude_im", "amplitude_abs"),
@@ -64,9 +65,9 @@ class ScenarioConfig:
             )
 
 
-def _check_increasing(taus: np.ndarray, before: float = -math.inf) -> None:
-    """taus rise strictly, and from above before, the tau of the block before."""
-    if len(taus) and not (taus[0] > before and np.all(np.diff(taus) > 0)):
+def _check_increasing(taus: np.ndarray) -> None:
+    """taus rise strictly."""
+    if not np.all(np.diff(taus) > 0):
         raise RangeError("tau values must be strictly increasing")
 
 
@@ -202,25 +203,25 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     the grid size.  The blocks are the bits of one pass over the whole grid:
     the taus are linspace's, Monte Carlo draws the same seeded samples for
     each block, and a point of either amplitude route depends on its index in
-    the grid alone (block b starts at point b * rows).  Every check runs
-    before it returns."""
+    the grid alone (a block is the points lo to hi - 1, for the taus and the
+    amplitudes alike).  Every check runs before it returns."""
     grid, obs = config.grid, config.observable
-    rows = _CSV_CHUNK // len(COLUMNS[obs])
-    last = -math.inf
-    for taus in grid.tau_blocks(rows):  # fail before any amplitude or power work
-        _check_increasing(taus, last)
-        last = taus[-1]
+    n, rows = grid.n_points, _CSV_CHUNK // len(COLUMNS[obs])
+    for lo in range(0, n, rows):  # fail before any amplitude or power work
+        _check_increasing(grid.taus(max(lo - 1, 0), lo + rows))  # and the point before
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite column is reported below
         points = (propagator(config.params, grid) if config.method == "oracle"
                   else grid_amplitude(build_amplitude_model(config.params), grid))
 
     def blocks():
-        for b, taus in enumerate(grid.tau_blocks(rows)):
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
             with np.errstate(over="ignore", invalid="ignore"):  # reported once, just below
-                e_vals = points(b * rows, b * rows + len(taus))
+                e_vals = points(lo, hi)
             if not np.all(np.isfinite(e_vals)):
                 raise NonFiniteResult(f"the survival amplitude overflowed for {config.params}")
-            if obs == "amplitude":
+            if obs == "amplitude":  # the measures' check of |E| <= 1, as for every observable
+                _checked_abs_e(e_vals)
                 vals = np.column_stack([e_vals.real, e_vals.imag, np.abs(e_vals)])
             elif obs == "entropy":
                 theta = config.angles[0].theta if config.angles else 0.0
@@ -234,9 +235,9 @@ def scan_blocks(config: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray
             else:  # power
                 p_vals = survival_probability(e_vals)
                 vals = (entangling_power_grid(p_vals) if config.power_method == "quad"
-                        else entangling_power_mc_grid(p_vals, config.mc, stderr=False)[0])[:, None]
+                        else entangling_power_mc(p_vals, config.mc, stderr=False)[0])[:, None]
             del e_vals  # so that formatting the block can reuse its memory
-            yield taus, vals
+            yield grid.taus(lo, hi), vals
     return blocks()
 
 

@@ -562,11 +562,13 @@ class TestOdeOracle:
         routes = [lambda: propagator(STRONG[2], grid),
                   lambda: propagator(ModelParams(1 / math.sqrt(2), 0.0, 1.5e9), grid),
                   lambda: grid_amplitude(build_amplitude_model(STRONG[2]), grid)]
+        n = grid.n_points
         for route in routes:
-            points, got, lo = route(), [], 0
-            for taus in grid.tau_blocks(rows):
-                got.append(points(lo, lo + len(taus)))
-                lo += len(taus)
+            points, got, taus = route(), [], []
+            for lo in range(0, n, rows):
+                taus.append(grid.taus(lo, lo + rows))
+                got.append(points(lo, lo + len(taus[-1])))
+            assert np.concatenate(taus).tobytes() == np.linspace(0.5, 20.0, n).tobytes()
             got = np.concatenate(got)
             assert got.tobytes() == route()(0, grid.n_points).tobytes()
             later = route()
@@ -653,8 +655,11 @@ class TestTimeGrid:
     ])
     @pytest.mark.parametrize("rows", [1, 2, 3, 4096, 8192])
     def test_blocks_are_linspace_bits(self, grid, rows):
-        blocks = list(grid.tau_blocks(rows))
-        assert np.concatenate(blocks).tobytes() == grid.taus().tobytes()
+        n = grid.n_points
+        want = np.linspace(grid.tau_start, grid.tau_end, n)
+        assert grid.taus().tobytes() == want.tobytes()
+        blocks = [grid.taus(lo, lo + rows) for lo in range(0, n, rows)]
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
         # every block but the last has rows points
         assert all(len(b) == rows for b in blocks[:-1])
 
@@ -663,6 +668,11 @@ class TestTimeGrid:
         for _ in range(200):
             start = rng.uniform(0, 10) ** rng.integers(1, 3)
             end = start + rng.uniform(0, 100) * 10.0 ** rng.integers(-15, 3)
-            grid = TimeGrid(start, end, int(rng.integers(2, 5000)))
-            got = np.concatenate(list(grid.tau_blocks(int(rng.integers(2, 700)))))
-            assert got.tobytes() == grid.taus().tobytes()
+            n = int(rng.integers(2, 5000))
+            grid, rows = TimeGrid(start, end, n), int(rng.integers(2, 700))
+            want = np.linspace(start, end, n)
+            got = np.concatenate([grid.taus(lo, lo + rows) for lo in range(0, n, rows)])
+            assert got.tobytes() == want.tobytes()
+            # any range of points, such as a block and the point before it
+            lo, hi = sorted(rng.integers(0, n + 1, 2))
+            assert grid.taus(lo, hi).tobytes() == want[lo:hi].tobytes()

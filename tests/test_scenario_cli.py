@@ -630,6 +630,21 @@ class TestScanMemoryAndFailures:
         assert main(scan_argv(flags)) == 0
         assert len(calls) == math.ceil(n / rows) == 31 and sum(calls) == n
 
+    def test_monte_carlo_is_reached_by_its_documented_name(self, capsys, monkeypatch):
+        # an mc power scan and validate's power-estimators check call
+        # entangling_power_mc where each module binds it: the bindings that
+        # the benchmark's tracer wraps
+        calls = []
+        for module in (scenario, validate):
+            def counted(*args, real=module.entangling_power_mc, name=module.__name__, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, "entangling_power_mc", counted)
+        assert main(scan_argv({**SCAN_FLAGS, **MC, "observable": "power", "tau-steps": 5})) == 0
+        worst, bound = validate.check_power_estimators()
+        assert worst <= bound
+        assert calls == ["qubitswap.scenario", "qubitswap.validate"]
+
     def test_oracle_scan_peak_does_not_grow(self, tmp_path):
         path = tmp_path / "oracle.csv"
         flags = {**SCAN_FLAGS, "observable": "amplitude", "method": "oracle", "out": str(path)}
@@ -699,6 +714,22 @@ class TestScanMemoryAndFailures:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("numeric failure: the survival amplitude overflowed")
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_amplitude_above_one_is_a_usage_error(self, capsys, tmp_path, to_file):
+        # beta*Omega = 1e17: the propagator's rounding outruns its damping and
+        # gives finite |E| up to about 3.6e119, which the amplitude observable
+        # refuses as every other observable does: one line, and no data row
+        path = tmp_path / "o.csv"
+        argv = ["scan", "--R", "10", "--beta", "9.99e-4", "--omega-ratio",
+                "1.001001001001001e20", "--method", "oracle", "--observable", "amplitude",
+                "--tau-steps", "1000", "--out", str(path) if to_file else "-"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.count("\n") == 1
+        assert err.startswith("error: |E| must be finite and at most 1, got max |E| = ")
+        assert out == ("" if to_file else "tau,amplitude_re,amplitude_im,amplitude_abs\n")
+        assert os.listdir(tmp_path) == []
 
     THREE_BLOCKS = {**SCAN_FLAGS, "observable": "amplitude",
                     "tau-steps": 3 * (scenario._CSV_CHUNK // 4)}
@@ -980,7 +1011,7 @@ class TestCliInputErrors:
         def no_work(*args):
             raise AssertionError("no amplitude or Monte Carlo work may run")
 
-        for name in ("entangling_power_mc_grid", "build_amplitude_model", "grid_amplitude",
+        for name in ("entangling_power_mc", "build_amplitude_model", "grid_amplitude",
                      "propagator"):
             monkeypatch.setattr(scenario, name, no_work)
         argv = ["scan", "--R", "0.1", "--omega-ratio", "1.5e9", "--observable", "power",
@@ -990,10 +1021,14 @@ class TestCliInputErrors:
         assert capsys.readouterr() == ("", "error: tau values must be strictly increasing\n")
 
     def test_repeat_across_a_block_boundary_fails_before_any_work(self, capsys, monkeypatch):
-        # each block rises strictly; only the first tau of the second repeats
-        blocks = [np.array([1.0, 1.5]), np.array([1.5, 2.0])]
-        monkeypatch.setattr(scenario.TimeGrid, "tau_blocks", lambda grid, rows: iter(blocks))
-        self.test_repeated_taus_fail_before_any_work(capsys, monkeypatch, "2", "4")
+        # two power rows a block: each block rises strictly; only the first
+        # tau of the second repeats, 1 + 2/3 ulp and 1 + 4/3 ulp both
+        # rounding to 1 + 1 ulp
+        monkeypatch.setattr(scenario, "_CSV_CHUNK", 4)
+        taus = scenario.TimeGrid(1.0, 1.0000000000000004, 4).taus()
+        assert taus[0] < taus[1] == taus[2] < taus[3]
+        self.test_repeated_taus_fail_before_any_work(capsys, monkeypatch, "1.0000000000000004",
+                                                     "4")
 
     def test_removed_quad_flags_are_one_line_usage_errors(self, capsys, tmp_path):
         # --quad-nodes and --quad-tol tuned the quadrature that the closed
