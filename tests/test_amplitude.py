@@ -664,7 +664,7 @@ class TestTimeGrid:
         assert all(len(b) == rows for b in blocks[:-1])
 
     def test_random_grids_block_like_linspace(self):
-        rng = np.random.default_rng(8)
+        rng, ranges = np.random.default_rng(8), np.random.default_rng(9)
         for _ in range(200):
             start = rng.uniform(0, 10) ** rng.integers(1, 3)
             end = start + rng.uniform(0, 100) * 10.0 ** rng.integers(-15, 3)
@@ -674,5 +674,5 @@ class TestTimeGrid:
             got = np.concatenate([grid.taus(lo, lo + rows) for lo in range(0, n, rows)])
             assert got.tobytes() == want.tobytes()
             # any range of points, such as a block and the point before it
-            lo, hi = sorted(rng.integers(0, n + 1, 2))
+            lo, hi = sorted(ranges.integers(0, n + 1, 2))
             assert grid.taus(lo, hi).tobytes() == want[lo:hi].tobytes()
