@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import validate
-from .errors import ParseError, QubitSwapError, RangeError, UnknownFigure
+from .errors import ParseError, QubitSwapError, RangeError
 from .scenario import FIGURE_IDS, OPTIONS, emit_csv, parse_config, run_figure
 from .scenario import format_csv, run_scan  # noqa: F401 (re-exported)
 
@@ -90,14 +90,17 @@ def main(argv=None) -> int:
             return EXIT_OK
         file_text = None  # scan: the sub-command is required, so no other is left
         if args.config is not None:
-            file_text = args.config.read_text(encoding="utf-8")
+            try:  # UTF-8, with or without a byte order mark
+                file_text = args.config.read_text(encoding="utf-8-sig")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{args.config}: not UTF-8 text at byte {exc.start}") from None
         flags = {key: getattr(args, key.replace("-", "_")) for key in OPTIONS}
         # "--k=--" gave [] before 3.13
         flags = {k: "--" if v == [] else v for k, v in flags.items()}
         config = parse_config(flags, file_text=file_text)
         emit_csv(config, config.out)
         return EXIT_OK
-    except (ParseError, RangeError, UnknownFigure) as exc:
+    except (ParseError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QubitSwapError as exc:

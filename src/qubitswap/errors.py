@@ -21,9 +21,5 @@ class NonFiniteResult(QubitSwapError):
     """A numeric route overflowed: its result holds inf or NaN."""
 
 
-class UnknownFigure(QubitSwapError):
-    """Requested figure preset id does not exist."""
-
-
 class ParseError(QubitSwapError):
     """Malformed config file or flag value."""

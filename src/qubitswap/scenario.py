@@ -16,7 +16,7 @@ import numpy as np
 
 from .amplitude import ModelParams, TimeGrid, build_amplitude_model, grid_amplitude, propagator
 from .amplitude import amplitude, amplitude_ode_oracle  # noqa: F401 (re-exported)
-from .errors import NonFiniteResult, ParseError, RangeError, UnknownFigure
+from .errors import NonFiniteResult, ParseError, RangeError
 from .format17 import format_g17
 from .measures import (
     BlochAngles,
@@ -79,13 +79,6 @@ class TimeSeries:
     taus: np.ndarray
     values: np.ndarray  # shape (len(taus), len(columns) - 1)
 
-    def __post_init__(self):
-        if self.columns[0] != "tau":
-            raise RangeError("first column must be tau")
-        _check_increasing(self.taus)
-        if self.values.shape != (len(self.taus), len(self.columns) - 1):
-            raise RangeError("value block shape does not match columns")
-
 
 @dataclass(frozen=True)
 class Option:
@@ -128,8 +121,8 @@ def parse_config_file(text: str) -> dict:
     """Parse flat key = value config text into a raw option dict."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):  # a comment is a whole line
             continue
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
@@ -183,7 +176,7 @@ def parse_config(options: dict, file_text: str | None = None) -> ScenarioConfig:
 def config_text(config: ScenarioConfig) -> str:
     """Serialize a config back to the flat key = value format.
 
-    parse_config(config_text(c)) reproduces c exactly.
+    parse_config(config_text(c)) == c, or config_text raises.
     """
     q1, q2 = config.angles or (None, None)
     parts = {"config": config, "params": config.params, "grid": config.grid,
@@ -193,6 +186,8 @@ def config_text(config: ScenarioConfig) -> str:
         if parts[opt.part] is not None:
             value = getattr(parts[opt.part], opt.field)
             text = format(value, ".17g") if opt.type is float else value
+            if opt.type is str and (text != text.strip() or len(text.splitlines()) > 1):
+                raise RangeError(f"{opt.key} {text!r} cannot be written as one config line")
             lines.append(f"{opt.key} = {text}")
     return "\n".join(lines) + "\n"
 
@@ -341,7 +336,7 @@ def figure_preset(fig_id: str) -> list[ScenarioConfig]:
     """Parameter sets behind each published figure, one config per curve,
     each writing its CSV to ``<fig_id>_curve<i>.csv``."""
     if fig_id not in _PRESETS:
-        raise UnknownFigure(f"unknown figure id {fig_id!r} (known: {', '.join(FIGURE_IDS)})")
+        raise RangeError(f"unknown figure id {fig_id!r} (known: {', '.join(FIGURE_IDS)})")
     return [replace(cfg, out=f"{fig_id}_curve{i}.csv") for i, cfg in enumerate(_PRESETS[fig_id])]
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from qubitswap import cli, format17, scenario, validate
 from qubitswap.amplitude import amplitude_ode_oracle, build_amplitude_model, grid_amplitude
 from qubitswap.cli import main
-from qubitswap.errors import ParseError, QubitSwapError, RangeError, UnknownFigure, ZeroNorm
+from qubitswap.errors import ParseError, QubitSwapError, RangeError, ZeroNorm
 from qubitswap.measures import (
     average_linear_entropy,
     concurrence_closed,
@@ -98,6 +99,14 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             parse_config({"observable": "amplitude"})
 
+    def test_file_grammar(self):
+        # a comment is a whole line, "#" inside a value is part of it, and
+        # the later of two lines with one key wins
+        text = ("# scan\n  # indented\nR = 1\nR = 10\nomega-ratio = 1.5e9\n"
+                "observable = amplitude\nout = run#1.csv\n")
+        config = parse_config({}, file_text=text)
+        assert config.params.R == 10.0 and config.out == "run#1.csv"
+
     def test_round_trip(self):
         config = parse_config(
             {
@@ -122,6 +131,14 @@ class TestConfigText:
             "tau-min = 0\ntau-max = 50\ntau-steps = 1000\nmethod = analytic\n"
             "power-method = quad\nmc-samples = 100000\nseed = 0\nout = fig8a_curve2.csv\n"
         )
+
+    @pytest.mark.parametrize("out", [" a.csv", "a.csv ", "a.csv\n", "a\nb.csv", "a\rb.csv",
+                                     "a\x1cb.csv", "a\u2028b.csv"])
+    def test_refuses_a_value_it_cannot_write_back(self, out):
+        # the parser strips a value and splitlines breaks a line at each of these
+        config = replace(figure_preset("fig5")[1], out=out)
+        with pytest.raises(RangeError, match=r"^out .* cannot be written as one config line$"):
+            config_text(config)
 
     def test_bytes_without_angles(self):
         assert config_text(figure_preset("fig5")[1]) == (
@@ -152,7 +169,9 @@ def option_values(draw):
         if opt.choices:
             drawn[key] = draw(st.sampled_from(opt.choices))
         elif opt.type is str:
-            drawn[key] = draw(st.text("abcxyz019_-./", min_size=1))
+            # "#", "=" and inner spaces: a file name may hold any of them
+            drawn[key] = draw(st.text("abcxyz019_-./#= ", min_size=1).filter(
+                lambda s: s == s.strip()))
         elif opt.type is int:
             drawn[key] = draw(st.integers(*BOX[key]))
         else:
@@ -790,7 +809,7 @@ class TestFigurePresets:
             assert figure_preset(fig_id)
 
     def test_unknown_id(self):
-        with pytest.raises(UnknownFigure):
+        with pytest.raises(RangeError):
             figure_preset("fig9")
 
     @pytest.mark.parametrize(
@@ -932,6 +951,8 @@ class TestCliMain:
 
     def test_unknown_figure_is_usage_error(self, capsys):
         assert main(["figure", "fig99"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown figure id 'fig99' (known: {', '.join(FIGURE_IDS)})\n")
 
     def test_figure_fig6(self, tmp_path, capsys):
         assert main(["figure", "fig6", "--outdir", str(tmp_path)]) == 0
@@ -1056,6 +1077,42 @@ class TestCliInputErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    CONFIG = "R = 0.1\nomega-ratio = 1.5e9\nobservable = amplitude\ntau-steps = 11\n"
+
+    def test_config_out_with_hash_writes_that_file(self, capsys, tmp_path, monkeypatch):
+        # "#" starts a comment only as a whole line's first character
+        monkeypatch.chdir(tmp_path)
+        Path("run.conf").write_text(self.CONFIG + "out = run#1.csv\n", encoding="utf-8")
+        assert main(["scan", "--config", "run.conf"]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert main(self.BASE) == 0
+        assert Path("run#1.csv").read_text(encoding="utf-8") == capsys.readouterr().out
+        assert sorted(os.listdir()) == ["run#1.csv", "run.conf"]
+
+    def test_inline_comment_is_one_line_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "note.conf"
+        config.write_text(self.CONFIG.replace("R = 0.1", "R = 0.1  # note"), encoding="utf-8")
+        assert main(["scan", "--config", str(config)]) == 1
+        assert capsys.readouterr() == ("", "error: line 1: bad value for 'R': '0.1  # note'\n")
+
+    def test_config_with_byte_order_mark_scans(self, capsys, tmp_path):
+        config = tmp_path / "bom.conf"
+        config.write_text(self.CONFIG, encoding="utf-8-sig")
+        assert config.read_bytes().startswith(b"\xef\xbb\xbfR = 0.1\n")
+        assert main(["scan", "--config", str(config)]) == 0
+        out, err = capsys.readouterr()
+        assert main(self.BASE) == 0
+        assert (out, err) == (capsys.readouterr().out, "")
+
+    def test_config_not_utf8_is_one_line_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "latin.conf"
+        config.write_bytes((self.CONFIG + "out = caf\xe9.csv\n").encode("latin-1"))
+        out = tmp_path / "o.csv"
+        assert main(["scan", "--config", str(config), "--out", str(out)]) == 1
+        at = len(self.CONFIG + "out = caf")  # the byte 0xe9
+        assert capsys.readouterr() == ("", f"error: {config}: not UTF-8 text at byte {at}\n")
+        assert os.listdir(tmp_path) == ["latin.conf"]
+
     def test_non_finite_amplitude_is_numeric_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(scenario, "grid_amplitude",
                             lambda model, grid: lambda lo, hi: np.full(hi - lo, np.nan + 0j))
@@ -1111,7 +1168,7 @@ class TestCliInputErrors:
             raise error("boom")
 
         monkeypatch.setattr(cli, "emit_csv", failing)
-        usage = error in (ParseError, RangeError, UnknownFigure)
+        usage = error in (ParseError, RangeError)
         assert main(self.BASE) == (1 if usage else 2)
         assert capsys.readouterr().err == ("error: boom\n" if usage else "numeric failure: boom\n")
 
