@@ -69,6 +69,7 @@ _BETA = (
 _DRAW_BLOCK = 8_192  # Monte Carlo samples drawn at a time; 2-D rows of 4 096 or
 # fewer took numpy's broadcast divide about half as long again per value
 _P_CHUNK = 8  # p values evaluated against one draw block as a 2-D array
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter step
 
 
 @dataclass(frozen=True)
@@ -112,16 +113,17 @@ def entangling_power_mc_grid(p, spec: MonteCarloSpec, stderr: bool = True
     """Monte Carlo (mean, standard error) at a scalar p, or arrays of p's shape; with
     stderr false, no sums of squares and None for the errors (a scan writes means).
 
-    u = cos(theta) uniform on [-1, 1] and phi uniform on [0, 2pi) are drawn
-    for both qubits on each call, seeded, the same samples every time (so a
-    p's pair depends on p and spec only): default_rng(seed)'s stream u1 | u2 |
-    phi1 | phi2, one 64-bit output a double, read _DRAW_BLOCK samples at a
-    time from four copies advanced to its four parts (_streams).  The
-    closed-form concurrence 2|X|^2 / (2|X|^2 + |Y|^2) of post_bsm_projection
-    is averaged over the draws at every p.  With theta in [0, pi] the half
-    angles need no trigonometry: c = cos(theta/2) = sqrt((1 + u)/2) and
-    s = sin(theta/2) = sqrt((1 - u)/2).  Then |X|^2 = p A with A = (c1 c2)^2,
-    and with a = s1 c2, b = s2 c1, d = phi1 - phi2,
+    c^2 = cos^2(theta/2), uniform on [0, 1) under the Haar measure, and
+    phi = 2 pi f, f uniform on [0, 1), are drawn for both qubits on each call,
+    seeded, the same samples every time (so a p's pair depends on p and spec
+    only): outputs [k n, (k + 1) n), k = 0..3, of spec.seed's SplitMix64
+    stream (_uniform) are c1^2 | c2^2 | f1 | f2, so the draws of samples
+    lo..hi-1 are a pure function of (seed, n, lo, hi), read _DRAW_BLOCK
+    samples at a time (_ratios).  The closed-form concurrence
+    2|X|^2 / (2|X|^2 + |Y|^2) of post_bsm_projection is averaged over the
+    draws at every p.  The half angles need no trigonometry: c = sqrt(c^2)
+    and s = sqrt(1 - c^2).  Then |X|^2 = p A with A = (c1 c2)^2, and with
+    a = s1 c2, b = s2 c1, d = phi1 - phi2 = 2 pi (f1 - f2),
 
         |Y|^2 = |a e^{i phi1} - b e^{i phi2}|^2 = a^2 + b^2 - 2ab cos d
               = (a - b)^2 + 4ab sin^2(d/2),
@@ -138,23 +140,24 @@ def entangling_power_mc_grid(p, spec: MonteCarloSpec, stderr: bool = True
     [1/2, 1) with k capped to keep n 4^k finite: the unscaled squares of
     concurrences of order p underflow below p of about 1e-160.  Memory holds
     one block of draws, one chunk and two running sums a p, so a 20-point
-    power scan through cli.main peaks (VmHWM) at 39 MB for 4e6 samples as
-    for 1e5, against 98 MB when all ratios r were held.  Exactly (0.0, 0.0)
-    where p = 0."""
+    power scan through cli.main peaks (VmHWM) at 32 MB for 4e6 samples as
+    for 1e5, 0.7 MB above the quadrature scan, against 98 MB when all ratios
+    r were held.  Exactly (0.0, 0.0) where p = 0."""
     p, n = _checked_p(p), spec.n_samples
     means, stderrs = np.zeros(p.shape), (np.zeros(p.shape) if stderr else None)
     pos = p > 0  # 0/(0 + 0) on the ridge
     q = p[pos]
     k = np.minimum(-np.frexp(q)[1], (1022 - n.bit_length()) // 2)
-    top, streams, totals = np.ldexp(q, k), _streams(spec), np.zeros((1 + stderr, q.size))
+    top, totals = np.ldexp(q, k), np.zeros((1 + stderr, q.size))
     for lo in range(0, n if q.size else 0, _DRAW_BLOCK):  # nothing to draw for p = 0 alone
-        r = _ratios(streams, min(_DRAW_BLOCK, n - lo))
+        r = _ratios(spec, lo, min(lo + _DRAW_BLOCK, n))
         for c in range(0, q.size, _P_CHUNK):
             conc = np.add.outer(q[c:c + _P_CHUNK], r)
             np.divide(top[c:c + _P_CHUNK, None], conc, out=conc)
             totals[0, c:c + _P_CHUNK] += conc.sum(axis=1)
             if stderr:
                 totals[1, c:c + _P_CHUNK] += np.square(conc, out=conc).sum(axis=1)
+            del conc  # one chunk at a time: freed before the next is formed
     means[pos] = np.ldexp(totals[0], -k) / n
     if stderr and n > 1:  # rounding can take the one-pass sum of squares below 0
         sq_dev = np.maximum(totals[1] - totals[0] * (totals[0] / n), 0.0)
@@ -162,24 +165,27 @@ def entangling_power_mc_grid(p, spec: MonteCarloSpec, stderr: bool = True
     return _py(means), _py(stderrs)  # _py(None) is None
 
 
-def _streams(spec: MonteCarloSpec) -> list:
-    """Generators of u1, u2, phi1 and phi2 (entangling_power_mc_grid)."""
+def _uniform(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Outputs lo..hi-1 of SplitMix64 from seed as doubles in [0, 1): output i
+    is the top 53 bits of SplitMix64's mix of seed + (i + 1) _GAMMA, times
+    2^-53, with all arithmetic and the counters mod 2^64."""
+    z = np.arange(hi - lo, dtype=np.uint64) * np.uint64(_GAMMA)
+    z += np.uint64((seed + (lo + 1) * _GAMMA) % 2**64)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53
+
+
+def _ratios(spec: MonteCarloSpec, lo: int, hi: int) -> np.ndarray:
+    """The ratios r of the seeded samples lo..hi-1 (entangling_power_mc_grid)."""
     n = spec.n_samples
-    return [np.random.Generator(np.random.PCG64(spec.seed).advance(k * n)) for k in range(4)]
-
-
-def _ratios(streams: list, m: int) -> np.ndarray:
-    """The ratios r of the next m of the seeded draws that streams, from
-    _streams, give (entangling_power_mc_grid)."""
-    g1, g2, g3, g4 = streams
-    u1, u2 = g1.uniform(-1, 1, m), g2.uniform(-1, 1, m)
-    ph1, ph2 = g3.uniform(0, 2 * math.pi, m), g4.uniform(0, 2 * math.pi, m)
-    c1, s1 = np.sqrt((1 + u1) / 2), np.sqrt((1 - u1) / 2)
-    c2, s2 = np.sqrt((1 + u2) / 2), np.sqrt((1 - u2) / 2)
-    a, b = s1 * c2, s2 * c1
-    y_sq = (a - b) ** 2 + 4 * a * b * np.sin((ph1 - ph2) / 2) ** 2
-    two_c1c2_sq = 2 * (c1 * c2) ** 2
-    return np.divide(y_sq, two_c1c2_sq, out=np.full(m, math.inf), where=two_c1c2_sq > 0)
+    x1, x2, f1, f2 = (_uniform(spec.seed, k * n + lo, k * n + hi) for k in range(4))
+    a, b = np.sqrt((1 - x1) * x2), np.sqrt((1 - x2) * x1)  # s1 c2 and s2 c1
+    y_sq = (a - b) ** 2 + 4 * a * b * np.sin(math.pi * (f1 - f2)) ** 2
+    two_a = 2 * x1 * x2
+    return np.divide(y_sq, two_a, out=np.full(hi - lo, math.inf), where=two_a > 0)
 
 
 entangling_power_quadrature = entangling_power_grid  # the name predates the closed form

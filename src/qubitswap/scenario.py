@@ -59,6 +59,8 @@ class ScenarioConfig:
         for opt in OPTIONS.values():
             if opt.choices and getattr(self, opt.field) not in opt.choices:
                 raise RangeError(f"unknown {opt.key} {getattr(self, opt.field)!r}")
+        if not self.out:
+            raise RangeError("out must be a file path, or '-' for stdout")
         if self.observable in ("concurrence", "density") and self.angles is None:
             raise RangeError(
                 f"observable {self.observable!r} requires theta1/phi1/theta2/phi2"

@@ -27,7 +27,7 @@ from .measures import (
     linear_entropy,
     post_bsm_projection,
 )
-from .power import (MonteCarloSpec, entangling_power_grid, entangling_power_mc,
+from .power import (MonteCarloSpec, _uniform, entangling_power_grid, entangling_power_mc,
                     entangling_power_quadrature)
 from .scenario import STRONG, WEAK
 
@@ -41,14 +41,9 @@ def _tightest(*conditions):
 
 
 def check_model_invariants():
-    rng = np.random.default_rng(20240817)
     errs = []
-    for _ in range(100):
-        params = ModelParams(
-            R=rng.uniform(0.05, 20.0),
-            beta=rng.uniform(0.0, 2e-8),
-            Omega=rng.uniform(1e8, 1e10),
-        )
+    for x in _uniform(20240817, 0, 300).reshape(100, 3).tolist():
+        params = ModelParams(R=0.05 + 19.95 * x[0], beta=2e-8 * x[1], Omega=1e8 + 9.9e9 * x[2])
         model = build_amplitude_model(params)
         if model.degenerate:
             continue
@@ -101,7 +96,7 @@ def check_contractivity_and_stability():
 
 def check_entropy_bounds():
     # 200 seeded (|E|^2, arg E, theta) triples, one batch
-    u, arg, theta = np.random.default_rng(7).uniform(0, [1, 2 * math.pi, math.pi], (200, 3)).T
+    u, arg, theta = (_uniform(7, 0, 600).reshape(200, 3) * [1, 2 * math.pi, math.pi]).T
     e = np.sqrt(u) * np.exp(1j * arg)
     s, sav = linear_entropy(theta, e), average_linear_entropy(e)
     return _tightest((-np.min(s), 0.0), (np.max(s) - 0.5, 1e-12),
@@ -111,8 +106,8 @@ def check_entropy_bounds():
 def check_concurrence_oracle():
     # 300 seeded draws of (theta1, phi1, theta2, phi2, |E|^2, arg E), then the
     # Bell state (theta = phi, the same for both qubits) at four |E|: one batch
-    t1, p1, t2, p2, u, arg = np.random.default_rng(99).uniform(
-        0, [math.pi, 2 * math.pi] * 2 + [1, 2 * math.pi], (300, 6)).T
+    t1, p1, t2, p2, u, arg = (_uniform(99, 0, 1800).reshape(300, 6)
+                              * ([math.pi, 2 * math.pi] * 2 + [1, 2 * math.pi])).T
     t1, p1, t2, p2 = (np.r_[a, np.repeat([0.3, 1.0, 1.4], 4)] for a in (t1, p1, t2, p2))
     e = np.r_[np.sqrt(u) * np.exp(1j * arg), [1, 1e-16, 1e-200, 5e-324] * 3]
     s = post_bsm_projection(BlochAngles(t1, p1), BlochAngles(t2, p2), e)

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qubitswap import validate
+from qubitswap import power, validate
 from qubitswap.amplitude import ModelParams, TimeGrid, amplitude, build_amplitude_model
 from qubitswap.errors import NonPhysicalInput, RangeError, ZeroNorm
 from qubitswap.measures import (
@@ -236,15 +236,15 @@ class TestConcurrenceWootters:
 
 
 def seeded_states():
-    """The 300 drawn states that validate's concurrence-oracle checks:
-    default_rng(99) drawn one value at a time, (theta1, phi1, theta2, phi2,
-    |E|^2, arg E) for each sample."""
-    rng = np.random.default_rng(99)
+    """The 300 drawn states that validate's concurrence-oracle checks: the
+    first 1800 outputs of the seed-99 stream read one value at a time,
+    (theta1, phi1, theta2, phi2, |E|^2, arg E) for each sample."""
+    draws = iter(power._uniform(99, 0, 1800).tolist())
     states = []
     for _ in range(300):
-        q1 = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        q2 = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        e = math.sqrt(rng.uniform(0, 1)) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        q1 = BlochAngles(next(draws) * math.pi, next(draws) * 2 * math.pi)
+        q2 = BlochAngles(next(draws) * math.pi, next(draws) * 2 * math.pi)
+        e = math.sqrt(next(draws)) * np.exp(1j * next(draws) * 2 * math.pi)
         states.append(post_bsm_projection(q1, q2, e))
     return states
 

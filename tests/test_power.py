@@ -211,20 +211,39 @@ def series_coefficients(n: int) -> tuple[list[Fraction], list[Fraction]]:
     return a[1:], b[1:]
 
 
+MASK64 = 2**64 - 1
+
+
+def splitmix64(seed: int, i: int) -> int:
+    """Output i of SplitMix64 from seed, in Python ints: counters mod 2^64."""
+    z = (seed + ((i & MASK64) + 1) * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def uniform_reference(seed: int, lo: int, hi: int) -> list[float]:
+    """Outputs lo..hi-1 as doubles in [0, 1): the top 53 bits times 2^-53."""
+    return [(splitmix64(seed, i) >> 11) * 2.0**-53 for i in range(lo, hi)]
+
+
+def mc_draws(spec: MonteCarloSpec) -> np.ndarray:
+    """The whole seeded stream in one call: rows c1^2, c2^2, f1 and f2 of
+    every sample."""
+    return power._uniform(spec.seed, 0, 4 * spec.n_samples).reshape(4, -1)
+
+
 def mc_reference(p: float, spec: MonteCarloSpec) -> tuple[float, float]:
-    """Per-p Monte Carlo loop that draws its own samples, as the package did
-    before the draws were shared across p."""
-    rng = np.random.default_rng(spec.seed)
+    """Per-p Monte Carlo loop in complex arithmetic: the Bloch angles of the
+    draws, theta = 2 arccos(c) and phi = 2 pi f, and the concurrence
+    2|X|^2 / (2|X|^2 + |Y|^2) of the projected state."""
     n = spec.n_samples
-    ct1 = rng.uniform(-1, 1, n)
-    ct2 = rng.uniform(-1, 1, n)
-    ph1 = rng.uniform(0, 2 * math.pi, n)
-    ph2 = rng.uniform(0, 2 * math.pi, n)
-    t1, t2 = np.arccos(ct1), np.arccos(ct2)
+    x1, x2, f1, f2 = mc_draws(spec)
+    t1, t2 = 2 * np.arccos(np.sqrt(x1)), 2 * np.arccos(np.sqrt(x2))
     c1, s1 = np.cos(t1 / 2), np.sin(t1 / 2)
     c2, s2 = np.cos(t2 / 2), np.sin(t2 / 2)
     a = (c1 * c2) ** 2
-    y_sq = np.abs(s1 * c2 * np.exp(1j * ph1) - s2 * c1 * np.exp(1j * ph2)) ** 2
+    y_sq = np.abs(s1 * c2 * np.exp(2j * math.pi * f1) - s2 * c1 * np.exp(2j * math.pi * f2)) ** 2
     denom = 2 * p * a + y_sq
 
     def concurrences(scale):
@@ -238,26 +257,30 @@ def mc_reference(p: float, spec: MonteCarloSpec) -> tuple[float, float]:
     return math.ldexp(float(conc.mean()), -k), math.ldexp(stderr, -k)
 
 
+def ratios_reference(x1, x2, f1, f2) -> np.ndarray:
+    """The package's ratios r = |Y|^2 / (2 (c1 c2)^2) of the given draws."""
+    a, b = np.sqrt((1 - x1) * x2), np.sqrt((1 - x2) * x1)
+    y_sq = (a - b) ** 2 + 4 * a * b * np.sin(math.pi * (f1 - f2)) ** 2
+    two_a = 2 * x1 * x2
+    r = np.full(len(x1), math.inf)
+    np.divide(y_sq, two_a, out=r, where=two_a > 0)
+    return r
+
+
+def mc_draws_reference(spec: MonteCarloSpec) -> np.ndarray:
+    """power._ratios of every block, joined, as one draw of every sample."""
+    return ratios_reference(*mc_draws(spec))
+
+
 def mc_half_angle_reference(p: float, spec: MonteCarloSpec) -> tuple[float, float]:
-    """Per-p loop of the package's half-angle arithmetic, drawing its own
-    samples: the concurrence is p / (p + r), r = |Y|^2 / (2 (c1 c2)^2),
-    scaled by the package's power of two, summed by numpy over each block of
-    power._DRAW_BLOCK samples, and the block sums added in block order."""
+    """Per-p loop of the package's half-angle arithmetic over the one-shot
+    ratios: the concurrence is p / (p + r), scaled by the package's power of
+    two, summed by numpy over each block of power._DRAW_BLOCK samples, and
+    the block sums added in block order."""
     if p == 0:
         return 0.0, 0.0
-    rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
-    u1 = rng.uniform(-1, 1, n)
-    u2 = rng.uniform(-1, 1, n)
-    ph1 = rng.uniform(0, 2 * math.pi, n)
-    ph2 = rng.uniform(0, 2 * math.pi, n)
-    c1, s1 = np.sqrt((1 + u1) / 2), np.sqrt((1 - u1) / 2)
-    c2, s2 = np.sqrt((1 + u2) / 2), np.sqrt((1 - u2) / 2)
-    a, b = s1 * c2, s2 * c1
-    y_sq = (a - b) ** 2 + 4 * a * b * np.sin((ph1 - ph2) / 2) ** 2
-    two_c1c2_sq = 2 * (c1 * c2) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(two_c1c2_sq > 0, y_sq / two_c1c2_sq, math.inf)
+    r = mc_draws_reference(spec)
     k = min(-math.frexp(p)[1], (1022 - n.bit_length()) // 2)  # 2^k p in [1/2, 1), n 4^k finite
     conc = math.ldexp(p, k) / (p + r)
     blocks = [conc[lo:lo + power._DRAW_BLOCK] for lo in range(0, n, power._DRAW_BLOCK)]
@@ -271,40 +294,17 @@ def mc_half_angle_reference(p: float, spec: MonteCarloSpec) -> tuple[float, floa
     return math.ldexp(total, -k) / n, math.ldexp(math.sqrt(sq_dev / (n - 1)), -k) / math.sqrt(n)
 
 
-def mc_draws_reference(spec: MonteCarloSpec) -> np.ndarray:
-    """power._ratios of every block, joined, as one draw of every sample: u1
-    and u2 in one uniform() call, then phi1 and phi2 in another, and the
-    ratios r over the whole arrays."""
-    rng = np.random.default_rng(spec.seed)
-    n = spec.n_samples
-    u1, u2 = rng.uniform(-1, 1, (2, n))
-    ph1, ph2 = rng.uniform(0, 2 * math.pi, (2, n))
-    c1, s1 = np.sqrt((1 + u1) / 2), np.sqrt((1 - u1) / 2)
-    c2, s2 = np.sqrt((1 + u2) / 2), np.sqrt((1 - u2) / 2)
-    a, b = s1 * c2, s2 * c1
-    y_sq = (a - b) ** 2 + 4 * a * b * np.sin((ph1 - ph2) / 2) ** 2
-    two_c1c2_sq = 2 * (c1 * c2) ** 2
-    r = np.full(n, math.inf)
-    np.divide(y_sq, two_c1c2_sq, out=r, where=two_c1c2_sq > 0)
-    return r
+def fix_draws(monkeypatch, x1, x2, f1, f2):
+    """Stand the given values in for the seeded stream c1^2 | c2^2 | f1 | f2
+    that power._ratios reads (power._uniform)."""
+    stream = np.array([x1, x2, f1, f2], dtype=float).ravel()
+    assert np.all((0 <= stream) & (stream <= 1))
 
+    def fixed(seed, lo, hi):
+        assert 0 <= lo <= hi <= stream.size
+        return stream[lo:hi]
 
-class FixedDraws:
-    """Stands in for one of the four numpy Generators that _ratios reads
-    (power._streams): hands out the given values in order, as many per
-    uniform() call as it asks for."""
-
-    def __init__(self, values):
-        self.values = np.array(values, dtype=float)
-
-    def uniform(self, low, high, size):
-        block, self.values = self.values[:size], self.values[size:]
-        assert block.shape == (size,) and np.all((low <= block) & (block <= high))
-        return block
-
-
-def fix_draws(monkeypatch, u1, u2, ph1, ph2):
-    monkeypatch.setattr(power, "_streams", lambda spec: [FixedDraws(v) for v in (u1, u2, ph1, ph2)])
+    monkeypatch.setattr(power, "_uniform", fixed)
 
 
 class TestSpecs:
@@ -521,12 +521,13 @@ class TestMonteCarlo:
         assert means / ps == pytest.approx(means[0] / ps[0], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("u1,u2,ph1,ph2,ridge", [
-        # A = 0 (u = -1 on either side, or both), then the ridge |Y| = 0
-        ([-1, 0.3, -1, 1, -1, 1, 0.2], [0.3, -1, -1, -1, 1, 1, 0.2],
-         [0.1, 2, 1, 0, 3, 0.5, 1.7], [2, 0.1, 1, 3, 0, 0.5, 1.7], 2),
-        ([-1, -1, 0.5], [-1, 0.5, -1], [1, 2, 3], [1, 4, 5], 0),
-        ([0.7] * 3, [0.7] * 3, [2.5] * 3, [2.5] * 3, 3),
-        ([-1], [0.4], [1.0], [2.0], 0),
+        # the draws c1^2, c2^2, phi1/2pi and phi2/2pi of each sample:
+        # A = 0 (c^2 = 0 on either side, or both), then the ridge |Y| = 0
+        ([0, 0.65, 0, 1, 0, 1, 0.6], [0.65, 0, 0, 0, 1, 1, 0.6],
+         [0.02, 0.3, 0.15, 0, 0.5, 0.08, 0.27], [0.3, 0.02, 0.15, 0.5, 0, 0.08, 0.27], 2),
+        ([0, 0, 0.75], [0, 0.75, 0], [0.15, 0.3, 0.5], [0.15, 0.6, 0.8], 0),
+        ([0.85] * 3, [0.85] * 3, [0.4] * 3, [0.4] * 3, 3),
+        ([0], [0.7], [0.15], [0.3], 0),
     ])
     def test_degenerate_samples(self, monkeypatch, u1, u2, ph1, ph2, ridge):
         fix_draws(monkeypatch, u1, u2, ph1, ph2)
@@ -541,10 +542,11 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("value", [0.4, 0.45, 0.7, 0.9])
     def test_equal_samples_have_zero_stderr(self, monkeypatch, value):
-        # u1 = u2 = 0 gives A = 1/4 and |Y|^2 = sin^2(d/2), so r = 2 sin^2(d/2)
-        # and p = 1 makes the concurrence 1/(1 + r) = value in every sample
-        d = 2 * math.asin(math.sqrt((1 / value - 1) / 2))
-        fix_draws(monkeypatch, [0.0] * 3, [0.0] * 3, [d] * 3, [0.0] * 3)
+        # c1^2 = c2^2 = 1/2 gives A = 1/4 and |Y|^2 = sin^2(d/2), so
+        # r = 2 sin^2(d/2) and p = 1 makes the concurrence 1/(1 + r) = value
+        # in every sample; d = 2 pi f1 with f2 = 0
+        f = math.asin(math.sqrt((1 / value - 1) / 2)) / math.pi
+        fix_draws(monkeypatch, [0.5] * 3, [0.5] * 3, [f] * 3, [0.0] * 3)
         mean, stderr = entangling_power_mc(1.0, MonteCarloSpec(n_samples=3))
         assert mean == pytest.approx(value, rel=1e-14) and 0 <= stderr < 1e-8
 
@@ -552,19 +554,18 @@ class TestMonteCarlo:
         # the first case of test_degenerate_samples, drawn two samples a block
         monkeypatch.setattr(power, "_DRAW_BLOCK", 2)
         self.test_degenerate_samples(
-            monkeypatch, [-1, 0.3, -1, 1, -1, 1, 0.2], [0.3, -1, -1, -1, 1, 1, 0.2],
-            [0.1, 2, 1, 0, 3, 0.5, 1.7], [2, 0.1, 1, 3, 0, 0.5, 1.7], 2)
+            monkeypatch, [0, 0.65, 0, 1, 0, 1, 0.6], [0.65, 0, 0, 0, 1, 1, 0.6],
+            [0.02, 0.3, 0.15, 0, 0.5, 0.08, 0.27], [0.3, 0.02, 0.15, 0.5, 0, 0.08, 0.27], 2)
 
     @pytest.mark.parametrize("seed", [0, 4, 2**64 - 1])
     @pytest.mark.parametrize("n", sorted({
         1, power._DRAW_BLOCK - 1, power._DRAW_BLOCK, power._DRAW_BLOCK + 1,
         2 * power._DRAW_BLOCK + 1, 16_383, 16_384, 16_385, 32_769, 200_000, 1_000_003}))
     def test_blocked_draws_equal_one_shot_draw(self, seed, n):
-        # each block's slice of the four advanced streams is the slice of
-        # the one seeded draw, and every operation on it is elementwise
-        spec = MonteCarloSpec(n_samples=n, seed=seed)
-        streams, block = power._streams(spec), power._DRAW_BLOCK
-        blocks = [power._ratios(streams, min(block, n - lo)) for lo in range(0, n, block)]
+        # each block's draws are its slices of the four parts of the one
+        # seeded stream, and every operation on them is elementwise
+        spec, block = MonteCarloSpec(n_samples=n, seed=seed), power._DRAW_BLOCK
+        blocks = [power._ratios(spec, lo, min(lo + block, n)) for lo in range(0, n, block)]
         assert np.concatenate(blocks).tobytes() == mc_draws_reference(spec).tobytes()
 
     def test_peak_is_one_block_and_its_sums(self):
@@ -590,36 +591,73 @@ class TestMonteCarlo:
 
     def test_each_sample_drawn_once_a_call(self, monkeypatch):
         # 600 p values against 1024 blocks of one sample, more block sums
-        # than 2^19: still one set of streams and one draw of each sample
+        # than 2^19: still one draw of each of the stream's 4 x 1024 outputs
         monkeypatch.setattr(power, "_DRAW_BLOCK", 1)
         monkeypatch.setattr(power, "_P_CHUNK", 256)
-        streams, drawn = power._streams, []
-        monkeypatch.setattr(power, "_streams", lambda spec: drawn.append(spec) or streams(spec))
-        ratios, sizes = power._ratios, []
-        monkeypatch.setattr(power, "_ratios", lambda g, m: sizes.append(m) or ratios(g, m))
+        uniform, drawn = power._uniform, []
+        monkeypatch.setattr(power, "_uniform",
+                            lambda seed, lo, hi: drawn.append((seed, lo, hi)) or uniform(seed, lo, hi))
+        ratios, blocks = power._ratios, []
+        monkeypatch.setattr(power, "_ratios",
+                            lambda spec, lo, hi: blocks.append((lo, hi)) or ratios(spec, lo, hi))
         spec = MonteCarloSpec(n_samples=1024, seed=6)
         ps = np.linspace(0.0, 1.0, 600)
         means, stderrs = entangling_power_mc_grid(ps, spec)
-        assert drawn == [spec] and sizes == [1] * 1024
+        assert blocks == [(lo, lo + 1) for lo in range(1024)]
+        assert sorted(drawn) == [(6, i, i + 1) for i in range(4 * 1024)]
         for p, mean, stderr in list(zip(ps, means, stderrs))[::150]:
             assert (mean, stderr) == mc_half_angle_reference(float(p), spec)
 
+    def test_python_reference_matches_published_outputs(self):
+        # SplitMix64's first outputs from seed 1234567, as its reference
+        # implementation gives them
+        assert [splitmix64(1234567, i) for i in range(5)] == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821]
+
+    @pytest.mark.parametrize("seed", [0, 4, 2**64 - 1])
+    def test_sampler_bits_match_python_reference(self, seed):
+        # the four parts of a stream of n samples, at their block edges,
+        # drawn and turned into ratios: numpy's uint64 arithmetic wraps
+        # silently, as the Python ints do under the mask
+        n, block = 2 * power._DRAW_BLOCK + 5, power._DRAW_BLOCK
+        spec = MonteCarloSpec(n_samples=n, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo, hi in [(0, 3), (block - 2, block + 2), (2 * block - 1, n), (n - 1, n)]:
+                parts = [uniform_reference(seed, k * n + lo, k * n + hi) for k in range(4)]
+                for k, part in enumerate(parts):
+                    assert power._uniform(seed, k * n + lo, k * n + hi).tolist() == part
+                ref = ratios_reference(*np.array(parts))
+                assert power._ratios(spec, lo, hi).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 4, 2**64 - 1])
+    def test_sampler_counters_wrap(self, seed):
+        # counters are taken mod 2^64: outputs 2^64 - 2 .. 2^64 + 2 are
+        # outputs 2^64 - 2, 2^64 - 1, 0, 1 and 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drawn = power._uniform(seed, 2**64 - 2, 2**64 + 3)
+            assert drawn[2:].tolist() == power._uniform(seed, 0, 3).tolist()
+        assert drawn.tolist() == uniform_reference(seed, 2**64 - 2, 2**64 + 3)
+        assert np.all((drawn >= 0) & (drawn < 1))
+
     @pytest.mark.parametrize("n,expected", [
         (power._DRAW_BLOCK - 1, [
-            7.365308113213579e-300, 7.36530807292947e-12, 0.004070228365265544,
-            0.0874419449287494, 0.17235076491314408, 0.22924066107291013, 0.2729544435377582,
-            0.30862494970895415, 0.33878068308820847, 0.3648872928355038, 0.3878814274316435,
-            0.40840251618934487, 0.4269085435646153, 0.4437397742520186]),
+            6.861695387820875e-300, 6.8616953725984046e-12, 0.004251988636358429,
+            0.08636155941336986, 0.17006109111203616, 0.22642926018016177, 0.26984841295020706,
+            0.3053309718597636, 0.33535725542055356, 0.36136956741363296, 0.3842919163598872,
+            0.4047563600442551, 0.4232163446378385, 0.4400092211882383]),
         (power._DRAW_BLOCK, [
-            7.441848252342385e-300, 7.441848217471334e-12, 0.0039686695007419785,
-            0.08606600005370224, 0.17088986395120137, 0.22787245923095817, 0.2716415596614197,
-            0.3073307412924481, 0.3374802769266664, 0.36356480473446345, 0.3865269968889126,
-            0.40701025443926464, 0.4254751962266663, 0.44226385029710746]),
+            5.460314422710058e-299, 5.460312455698016e-11, 0.0041612358598736845,
+            0.08550450424644386, 0.16859508468784812, 0.22451403180544677, 0.26760718029990105,
+            0.3028484577961662, 0.3326936188881944, 0.35856896272448957, 0.3813876022879325,
+            0.40177389911013917, 0.4201757010610854, 0.4369261895230331]),
         (power._DRAW_BLOCK + 1, [
-            5.396506182498527e-300, 5.396506178592532e-12, 0.004037089101972522,
-            0.0867532649498582, 0.1707716216948991, 0.22705011571517902, 0.2703215735953967,
-            0.30566480902747406, 0.33557386873964373, 0.3614917477653792, 0.3843398109729066,
-            0.40474690646820116, 0.4231635138363928, 0.4399244571246151]),
+            4.7689552245652976e-300, 4.768955222499409e-12, 0.0038728283479073553,
+            0.08660007382177681, 0.1710900416755159, 0.2277816608247339, 0.27137915602508567,
+            0.30697483592054253, 0.3370783202498145, 0.36314534446260494, 0.38610707160582464,
+            0.4065998110834547, 0.4250797517496543, 0.44188612728862553]),
     ])
     def test_means_at_block_edges(self, n, expected):
         # 14 p values, chunks of 8 and 6, against one or two blocks of draws

@@ -1113,6 +1113,18 @@ class TestCliInputErrors:
         assert capsys.readouterr() == ("", f"error: {config}: not UTF-8 text at byte {at}\n")
         assert os.listdir(tmp_path) == ["latin.conf"]
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_empty_out_is_one_line_usage_error(self, capsys, tmp_path, monkeypatch, form):
+        # "" once named the working directory: exit 3 and "[Errno 21] Is a directory: ''"
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        monkeypatch.setattr(cli, "emit_csv", lambda config, path: ran.append(path))
+        Path("run.conf").write_text(self.CONFIG + "out =\n", encoding="utf-8")
+        argv = self.BASE + ["--out", ""] if form == "flag" else ["scan", "--config", "run.conf"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: out must be a file path, or '-' for stdout\n")
+        assert ran == [] and os.listdir() == ["run.conf"]
+
     def test_non_finite_amplitude_is_numeric_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(scenario, "grid_amplitude",
                             lambda model, grid: lambda lo, hi: np.full(hi - lo, np.nan + 0j))
@@ -1370,6 +1382,22 @@ def test_cli_import_leaves_out_numpy_polynomial(tmp_path):
     # src/ has no use for numpy.polynomial, which takes about 6 ms to import
     code = "import sys, qubitswap.cli; print('numpy.polynomial' in sys.modules)"
     assert run_fresh(code, tmp_path) == "False\n"
+
+
+def test_monte_carlo_and_validate_leave_out_numpy_random(tmp_path):
+    # numpy.random brings in secrets, hmac and OpenSSL's _hashlib, about 5 MB
+    # of peak memory; the seeded draws are SplitMix64 in numpy arithmetic
+    code = """
+import sys, numpy
+before = set(sys.modules)  # numpy before 2.0 imports numpy.random itself
+from qubitswap.cli import main
+assert main(["scan", "--R", "10", "--omega-ratio", "1.5e9", "--observable", "power",
+             "--power-method", "mc", "--mc-samples", "20000", "--tau-steps", "3",
+             "--out", "p.csv"]) == 0
+assert main(["validate"]) == 0
+print(sorted({"numpy.random", "_hashlib"} & (set(sys.modules) - before)))
+"""
+    assert run_fresh(code, tmp_path).splitlines()[-1] == "[]"
 
 
 def test_cli_import_builds_no_formatting_tables(tmp_path):
