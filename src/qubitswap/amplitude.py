@@ -200,7 +200,9 @@ def build_amplitude_model(params: ModelParams) -> AmplitudeModel:
 def amplitude(model: AmplitudeModel, tau) -> complex | np.ndarray:
     """E(tau) at a scalar or an array of taus; a flagged model's from exp(M tau)."""
     t = np.asarray(tau, dtype=float)
-    check_phase(model.params.R, np.abs(t).max(initial=0.0))
+    if not np.all(t >= 0):  # NaN too; an infinite tau fails the phase bound
+        raise RangeError(f"tau must be finite and at least 0, got min tau = {np.min(t)}")
+    check_phase(model.params.R, t.max(initial=0.0))
     if model.degenerate:  # e0' exp(M tau) e0, _TAUS_PER_CALL taus at a time
         out, k = np.empty(t.shape, complex), _TAUS_PER_CALL
         for i in range(0, t.size, k):

@@ -188,11 +188,20 @@ class TestPhaseBound:
         with pytest.raises(RangeError, match=self.MESSAGE):
             amplitude(model, [0.5, 1.0])
         model = build_amplitude_model(ModelParams(R=1e10, beta=0.0, Omega=1.5e9))
-        assert np.all(np.isfinite(amplitude(model, [0.0, 600.0, -600.0])))  # phase 4.2e12
+        assert np.all(np.isfinite(amplitude(model, [0.0, 600.0])))  # phase 4.2e12
         assert amplitude(model, np.array([])).shape == (0,)
-        for tau in (700.0, -700.0, [1.0, 700.0]):  # phase 4.9e12
+        for tau in (700.0, [1.0, 700.0], math.inf):  # phase 4.9e12
             with pytest.raises(RangeError, match=self.MESSAGE):
                 amplitude(model, tau)
+
+    def test_amplitude_refuses_nan_and_negative_tau(self):
+        # TimeGrid's rule, tau finite and at least 0: NaN gave nan+nanj with no
+        # error, tau = -10 gave |E| = 1312 and a flagged model (R = 0.01) 2.6e17 at -50
+        for R, beta in ((10.0, 1e-8), (0.01, 0.0)):
+            model = build_amplitude_model(ModelParams(R=R, beta=beta, Omega=1.5e9))
+            for tau in (math.nan, -10.0, -50.0, [1.0, math.nan], [0.0, -5e-324]):
+                with pytest.raises(RangeError, match=r"^tau must be finite and at least 0, got"):
+                    amplitude(model, tau)
 
     def test_propagator_checks_tau_end(self):
         for params in (ModelParams(R=1e100, beta=0.0, Omega=1.5e9),

@@ -41,7 +41,6 @@ from qubitswap.scenario import (
     figure_preset,
     format_csv,
     parse_config,
-    run_figure,
     run_scan,
 )
 
@@ -901,16 +900,14 @@ class TestCliMain:
         assert code == 1
 
     def test_identical_angles_give_concurrence_one_to_tau_1000(self, capsys):
-        # the stationary Bell state, long after |E|^2 underflows
-        code = main(
-            [
-                "scan", "--R", "10", "--omega-ratio", "1.5e9", "--observable", "concurrence",
-                "--theta1", "1", "--theta2", "1", "--tau-max", "1000",
-            ]
-        )
-        assert code == 0
-        rows = capsys.readouterr().out.splitlines()[1:]
-        assert rows and all(row.split(",")[1] == "1" for row in rows)
+        # the stationary Bell state, long after |E|^2 underflows: every row's
+        # concurrence is exactly 1, and its populations exactly (0, 1/2, 1/2, 0)
+        argv = ["scan", "--R", "10", "--omega-ratio", "1.5e9", "--theta1", "1", "--theta2", "1",
+                "--tau-max", "1000", "--tau-steps", "2001"]
+        for obs, values in (("concurrence", "1"), ("density", "0,0.5,0.5,0")):
+            assert main(argv + ["--observable", obs]) == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            assert len(rows) == 2001 and all(row.split(",", 1)[1] == values for row in rows)
 
     @pytest.mark.parametrize("beta", [1e-9, 1e-12, 1e-15])
     def test_near_triple_root_takes_the_propagator(self, capsys, beta):
@@ -1345,13 +1342,6 @@ class TestValidateCommand:
 
 
 class TestDeterminism:
-    def test_repeat_figure_runs_are_byte_identical(self, tmp_path):
-        for fig_id in ("fig2b", "fig6", "fig8a"):
-            a = run_figure(fig_id, tmp_path / "a" / fig_id)
-            b = run_figure(fig_id, tmp_path / "b" / fig_id)
-            for pa, pb in zip(a, b):
-                assert pa.read_bytes() == pb.read_bytes()
-
     def test_mc_scan_deterministic(self, tmp_path):
         flags = [
             "scan", "--R", "10", "--omega-ratio", "1.5e9", "--observable", "power",
@@ -1404,6 +1394,48 @@ def test_cli_import_builds_no_formatting_tables(tmp_path):
     # format17's tables take about 2 ms; a command that writes no CSV never builds them
     code = "import qubitswap.cli, qubitswap.format17 as f; print(f._tables.cache_info().misses)"
     assert run_fresh(code, tmp_path) == "0\n"
+
+
+LINUX_GLIBC = pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                                 reason="glibc's mallopt and Linux's process counters")
+
+
+def peak_mb(flags, cwd) -> float:
+    """Peak resident memory (VmHWM), in MB, of a fresh interpreter that runs
+    one scan through cli.main, the installed entry point's allocator policy
+    included; the CSV goes to the null device."""
+    code = f"""
+from qubitswap.cli import main
+assert main({scan_argv({**flags, "out": os.devnull})!r}) == 0
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+    return int(run_fresh(code, cwd)) / 1024
+
+
+@LINUX_GLIBC
+class TestPeakResidentMemory:
+    """A scan runs in blocks and draws Monte Carlo samples in blocks, so its
+    peak stays near the interpreter's own, about 32 MB."""
+
+    @pytest.mark.parametrize("flags", [
+        {"observable": "density", "tau-steps": 2_000_000},
+        {**DEGENERATE, "observable": "density", "tau-steps": 1_000_000},
+    ], ids=["blocks", "fallback"])
+    def test_long_density_scan(self, tmp_path, flags):
+        # the whole 2e6-point grid took 260 MB; the propagator fallback's
+        # blocks form only their own rows
+        assert peak_mb({**SCAN_FLAGS, **flags}, tmp_path) <= 48
+
+    def test_monte_carlo_power_scan(self, tmp_path):
+        # holding every sample's ratio took 98 MB at 4e6 samples; the seeded
+        # draws import nothing, so 1e5 samples peak as quadrature does
+        power = {**SCAN_FLAGS, "observable": "power", "tau-steps": 20}
+        big, small, quad = (peak_mb({**power, **mc}, tmp_path) for mc in (
+            {"power-method": "mc", "mc-samples": 4_000_000},
+            {"power-method": "mc", "mc-samples": 100_000}, {}))
+        assert max(big, small, quad) <= 60
+        assert abs(big - small) <= 5 and abs(small - quad) <= 1
 
 
 # One pass over the five grid observables at 1e5 points, in a fresh
@@ -1465,8 +1497,7 @@ class TestAllocatorPolicy:
         assert names == [None]
         assert got.read_bytes() == want.read_bytes()
 
-    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
-                        reason="glibc's mallopt and Linux fault counts")
+    @LINUX_GLIBC
     def test_scan_pass_page_faults(self, tmp_path):
         # About 30 000 minor faults with glibc's dynamic thresholds, which
         # hand each freed block back to the kernel; about 3 000 with them fixed.
