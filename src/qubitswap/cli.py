@@ -50,7 +50,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser a process: argparse keeps no state between parses."""
     parser = _Parser(
         prog="qubitswap",
         description="Dissipative moving-qubit dynamics and entanglement swapping",

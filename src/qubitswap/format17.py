@@ -40,7 +40,7 @@ def _tables():
         hi.append(m / d)
         lo.append((num * d - m * den) / (den * d))  # 10^s - hi, rounded once
         big = big // 10 if s < 0 else big * 10
-    pow10 = (np.array(hi), *_split(np.array(hi)), np.array(lo))
+    pow10 = np.stack((hi, *_split(np.array(hi)), lo))
 
     # Each 4-digit group as "d.d.d.d." ("d." is 0x2E30 + d), and its trailing zeros.
     w = np.arange(0x2E30, 0x2E3A, dtype=_WORD)
@@ -69,7 +69,7 @@ def _tables():
 
 def _scaled(a, e, pow10):
     """floor(a·10^(16−e)) and the fraction left over, for a > 0."""
-    hi, hi_hi, hi_lo, lo = (t.take(16 - e - _S_MIN) for t in pow10)
+    hi, hi_hi, hi_lo, lo = pow10.take(16 - e - _S_MIN, axis=1)
     p = a * hi
     a_hi, a_lo = _split(a)
     # err = ((a_hi·hi_hi − p) + a_hi·hi_lo + a_lo·hi_hi) + a_lo·hi_lo, each
@@ -105,7 +105,7 @@ def format_g17(block: np.ndarray) -> bytes:
     np.copyto(a, 1.0, where=other)
     e = np.floor(np.log10(a)).astype(np.int64)
     q, frac = _scaled(a, e, pow10)
-    off = np.flatnonzero((q < 10**16) | (q >= 10**17))  # log10 rounded across 10^e
+    off = ((q < 10**16) | (q >= 10**17)).nonzero()[0]  # log10 rounded across 10^e
     if off.size:
         e[off] += np.where(q[off] < 10**16, -1, 1)
         q[off], frac[off] = _scaled(a[off], e[off], pow10)
@@ -113,7 +113,7 @@ def format_g17(block: np.ndarray) -> bytes:
     q += frac > 0.5
     frac -= 0.5
     slow |= fast & (np.abs(frac, out=frac) < 1e-6)
-    slow = np.flatnonzero(slow)
+    slow = slow.nonzero()[0]
     del frac
     top = q == 10**17
     e += top
@@ -141,24 +141,24 @@ def format_g17(block: np.ndarray) -> bytes:
     k = int_last.take(e)
     k *= 17
     k += 16 - tail
-    del tail
 
-    words = np.empty((*block.shape, 6), _WORD)
-    flat = words.reshape(-1, 6)
     col = lead.take(e)
     col |= (first.astype(_WORD) + 48) << 48
     del first
     col |= np.signbit(v).astype(_WORD) * ord("-")
-    col &= keep[0].take(k)
+    # in place, no new array: "clip" leaves out unbuffered, and index i is read before word i
+    g = group.take(g, out=g.view(_WORD), mode="clip")
+    keep = keep.take(k, axis=1)
+    col &= keep[0]
+    g &= keep[1:]
+    del tail, k, keep
+    words = np.empty((*block.shape, 6), _WORD)
+    flat = words.reshape(-1, 6)
     flat[:, 0] = col
-    for j in range(4):
-        group.take(g[j], out=col)
-        col &= keep[j + 1].take(k)
-        flat[:, j + 1] = col
-    del g, k
+    flat[:, 1:5] = g.T
     suffix.take(e, out=col)
     flat[:, 5] = col
-    del col, e
+    del g, col, e
     words[:, :-1, 5] |= ord(",") << 40
     words[:, -1, 5] |= ord("\n") << 40
     for i in slow:

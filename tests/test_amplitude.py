@@ -405,6 +405,20 @@ class TestAmplitudeModel:
             mags = np.abs(amplitude(model, np.linspace(0, 100, 4001)))
             assert mags.max() <= 1 + 1e-9
 
+    @pytest.mark.parametrize("beta_omega", [1e3, 1e4, 1e6, 1e9, 1e12, 1e15])
+    def test_markov_limit_at_large_detuning(self, beta_omega):
+        # For beta*Omega >> R the cavity modes, detuned by about ±i beta*Omega,
+        # follow E adiabatically: E' = -(R^2/4)(1/y+ + 1/y-) E, with an error
+        # of second order in R/(beta*Omega).  An oracle independent of the
+        # cubic's roots, out to detunings where the propagator loses accuracy.
+        params = ModelParams(R=10.0, beta=9.99e-4, Omega=beta_omega / 9.99e-4)
+        model = build_amplitude_model(params)
+        grid = TimeGrid(0.0, 50.0, 1001)
+        got = grid_amplitude(model, grid)(0, grid.n_points)
+        rate = params.R**2 / 4 * (1 / params.y_plus + 1 / params.y_minus)
+        want = np.exp(-rate * grid.taus())
+        assert not model.degenerate
+        assert np.max(np.abs(got - want)) <= 2 * (params.R / beta_omega) ** 2 + 1e-15
 
     @pytest.mark.parametrize("n", [0, 1, 1000, 16383, 16384, 100001])
     def test_in_place_sum_equals_expression(self, n):

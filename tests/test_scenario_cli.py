@@ -1392,8 +1392,36 @@ print(sorted({"numpy.random", "_hashlib"} & (set(sys.modules) - before)))
 
 def test_cli_import_builds_no_formatting_tables(tmp_path):
     # format17's tables take about 2 ms; a command that writes no CSV never builds them
-    code = "import qubitswap.cli, qubitswap.format17 as f; print(f._tables.cache_info().misses)"
-    assert run_fresh(code, tmp_path) == "0\n"
+    # nor the argument parser, about 2 ms, which would move into every command's setup
+    code = ("import qubitswap.cli, qubitswap.format17 as f; print(f._tables.cache_info().misses,"
+            " qubitswap.cli._build_parser.cache_info().misses)")
+    assert run_fresh(code, tmp_path) == "0 0\n"
+
+
+def test_repeated_main_calls_answer_as_fresh_ones(tmp_path, capsys):
+    # cli.main builds its parser once a process; each answer must be that of
+    # a parser built for the call alone
+    scan = scan_argv({**SCAN_FLAGS, "observable": "entropy"})
+    argvs = [["scan", "--no-such-flag"], ["scan", "--help"], ["scan", "--help"],
+             scan + ["--tau-steps", "5", "--tau-max", "2"], scan,
+             ["figure", "fig6", "--outdir", str(tmp_path)], ["validate"]]
+
+    def answer(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    cli._build_parser.cache_clear()
+    repeated = [answer(argv) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(answer(argv))
+    assert repeated == fresh
+    code, out, err = repeated[0]
+    assert (code, out, len(err.splitlines())) == (cli.EXIT_USAGE, "", 1)
+    assert repeated[1] == repeated[2] and repeated[1][0] == 0 and repeated[1][1]
+    assert [len(r[1].splitlines()) for r in repeated[3:5]] == [1 + 5, 1 + 1000]
 
 
 LINUX_GLIBC = pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
