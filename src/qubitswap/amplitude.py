@@ -3,14 +3,16 @@
 The qubit couples to a Lorentzian continuum; its excited-state amplitude
 E(tau) (tau = time in units of the inverse cavity linewidth) obeys a
 memory-kernel equation whose Laplace transform reduces to a monic complex
-cubic.  The amplitude is then a sum of three exponentials.  The exact
-propagator exp(M tau) of the equivalent three-dimensional linear system is
-the independent cross-check, and the route that amplitude and grid_amplitude
-take where the cubic's roots are ill-conditioned or overflow.
+cubic.  The amplitude is then a sum of three exponentials at the cubic's
+roots, which solve_cubic finds in closed form, so no scan calls LAPACK.  The
+exact propagator exp(M tau) of the equivalent three-dimensional linear system
+is the independent cross-check, and the route that amplitude and
+grid_amplitude take where the cubic's roots are ill-conditioned or overflow.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from collections.abc import Callable
@@ -29,6 +31,7 @@ _PHASE_MAX = 1e-3 / sys.float_info.epsilon  # R*tau/sqrt(2) whose rounding error
 
 _POINTS_PER_ROW = 64  # K, grid points per row of a grid's lattice (see _lattice)
 _TAUS_PER_CALL = 1024  # taus per _exp_first call in amplitude(): about 1.2 kB each
+_OMEGA = complex(-0.5, math.sqrt(3) / 2)  # a cube root of unity
 
 
 @dataclass(frozen=True)
@@ -142,22 +145,33 @@ def cubic_coefficients(params: ModelParams) -> tuple[complex, complex, complex]:
 def solve_cubic(c: tuple[complex, complex, complex]) -> list[complex]:
     """All three roots of the cubic c = (a2, a1, a0), sorted by (Re, Im) ascending.
 
-    Companion-matrix eigenvalues polished with one Newton step, unless the
-    step exceeds 1e-8 of the root's scale: at a (near-)double root p' is
-    about 0 and the step would throw the root off.  The residual bound
-    |p(r)| <= 1e-9 * max(1, |r|^3) is asserted by the tests, not here.
+    Closed form for w = q/s, s the power of two at or below max(|a2|, sqrt|a1|,
+    cbrt|a0|), so nothing overflows: Cardano's formula (its square root's sign
+    taken against cancellation, its cube root real where one is) gives the two
+    largest roots, and the product of all three, -a0, the smallest; a real
+    cubic's pair is exactly conjugate.  A Newton step on the original cubic polishes each root unless
+    it exceeds 1e-8 of the root's scale, as at a near-double root.  From |q| of
+    about 1e105 that bound overflows: a residual that overflows too makes the
+    root NaN, and the model is flagged.
     """
-    a2, a1, a0 = c
-    roots = np.roots([1.0, a2, a1, a0]).astype(complex)
-    polished = []
-    for r in roots:
+    a2, a1, a0 = map(complex, c)
+    s = math.ldexp(1.0, math.frexp(max(abs(a2), math.sqrt(abs(a1)), abs(a0) ** (1 / 3)))[1] - 1)
+    b, c1, c0 = a2 / s, a1 / s / s, a0 / s / s / s  # w^3 + b w^2 + c1 w + c0
+    p, q = c1 - b * b / 3, (2 * b * b / 27 - c1 / 3) * b + c0  # t^3 + p t + q, t = w + b/3
+    h = cmath.sqrt(q * q / 4 + p * p * p / 27)
+    u3 = -(q / 2 + h) if (q.conjugate() * h).real >= 0 else h - q / 2
+    u = -((-u3) ** (1 / 3)) if u3.real < 0 else u3 ** (1 / 3)
+    w = sorted(((v - p / (3 * v) if v else 0j) - b / 3
+                for v in (u, u * _OMEGA, u * _OMEGA.conjugate())), key=abs)
+    w[0] = -c0 / (w[1] * w[2]) if w[1] * w[2] else w[0]
+    for i, r in enumerate(w):
+        r *= s
         p = ((r + a2) * r + a1) * r + a0
         dp = (3 * r + 2 * a2) * r + a1
         if dp != 0 and abs(p) <= 1e-8 * abs(dp) * max(1.0, abs(r)):
             r = r - p / dp
-        polished.append(complex(r))
-    polished.sort(key=lambda z: (z.real, z.imag))
-    return polished
+        w[i] = complex(r)
+    return sorted(w, key=lambda z: (z.real, z.imag))
 
 
 @dataclass(frozen=True)
@@ -181,9 +195,7 @@ def build_amplitude_model(params: ModelParams) -> AmplitudeModel:
     propagator.  At beta = 0 the conditioning is about 2 eps / R^2, so every
     R below about 0.02 is flagged.
     """
-    c = cubic_coefficients(params)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite roots flag the model
-        q = solve_cubic(c)
+    q = solve_cubic(cubic_coefficients(params))  # non-finite roots flag the model
     scale = max(1.0, max(abs(qi) for qi in q))
     gap = min(abs(q[i] - q[j]) for i in range(3) for j in range(i + 1, 3))
     yp, ym = params.y_plus, params.y_minus

@@ -10,7 +10,7 @@ class RangeError(QubitSwapError):
 
 
 class ZeroNorm(QubitSwapError):
-    """Bell-measurement projection has vanishing success probability: X = Y = 0."""
+    """Bell-measurement projection never succeeds: both qubits start in |g>."""
 
 
 class NonPhysicalInput(QubitSwapError):

@@ -7,8 +7,8 @@ one array expression.  A scalar E (Python, numpy or 0-d) gives a Python float
 or complex; an array E over a time grid, checked whole, gives an array of its
 shape whose every element has the scalar result's bits.  linear_entropy also
 takes an array of theta.  The concurrence and the populations share one
-formula, exact for identical initial states: concurrence 1 at every E != 0.
-The spin-flip route stacks matrices scaled alike; only X = Y = 0 is ZeroNorm.
+formula, exact for identical initial states: concurrence 1 at every E, 0 too.
+The spin-flip route stacks matrices scaled alike; two qubits in |g> are ZeroNorm.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import numpy as np
 from .amplitude import _py
 from .errors import NonPhysicalInput, RangeError, ZeroNorm
 
-# Basis order for all 4x4 matrices: |ee>, |eg>, |ge>, |gg>.
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]])
-_SYSY = np.kron(_SIGMA_Y, _SIGMA_Y)
+# Basis order for all 4x4 matrices: |ee>, |eg>, |ge>, |gg>.  sigma_y x sigma_y
+# maps basis state i to state 3 - i with sign s_i, s = (-1, 1, 1, -1).
+_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 
 def _abs(z):
@@ -122,23 +122,25 @@ def post_bsm_projection(q1: BlochAngles, q2: BlochAngles, E) -> PostBsmState:
 
     Both subsystems share the same survival amplitude E (identical cavities
     and equal velocities); the result is independent of the leaked photons'
-    pulse shape by construction.
+    pulse shape by construction.  Two qubits in |g> give X = Y = 0 at every E: ZeroNorm.
     """
     _checked_abs_e(E)
     c1, s1 = _half_cos_sin(q1.theta)
     c2, s2 = _half_cos_sin(q2.theta)
+    if np.any((c1 == 0) & (c2 == 0)):
+        raise ZeroNorm("both qubits start in |g>: the projection never succeeds")
     x = c1 * c2 * np.asarray(E, dtype=complex)
     y = s1 * c2 * np.exp(1j * q1.phi) - s2 * c1 * np.exp(1j * q2.phi)
     return PostBsmState(_py(x), _py(y))
 
 
 def _moduli(s: PostBsmState):
-    """|X|, |Y| and m, the larger of the two; m = 0 (X = Y = 0) raises ZeroNorm."""
-    a, b = _abs(s.X), _abs(s.Y)
-    m = np.maximum(a, b)
-    if not np.all(m > 0):
-        raise ZeroNorm("projection has vanishing success probability")
-    return a, b, m
+    """|X|, |Y| and m > 0, the larger of the two, with |X| read as 1 wherever
+    Y = 0: there the swapped state is the singlet at every X != 0, and so
+    also in its limit X -> 0, where E underflows."""
+    b = _abs(s.Y)
+    a = np.where(b == 0, 1.0, _abs(s.X))
+    return a, b, np.maximum(a, b)
 
 
 def _fractions(s: PostBsmState):
@@ -195,6 +197,7 @@ def density_matrix(s: PostBsmState) -> DensityMatrix4:
     first scaled exactly by a power of two to max(|X|, |Y|) in [1/2, 1): N cannot underflow."""
     e = -np.frexp(_moduli(s)[2])[1]
     x, y = np.broadcast_arrays(np.asarray(s.X, dtype=complex), s.Y)
+    x = np.where(y == 0, 1, x)  # the singlet, (0, 1, -1, 0)/sqrt(2), where Y = 0 (see _moduli)
     vec = np.stack([np.zeros_like(x), x, -x, y], axis=-1)
     np.ldexp(vec.view(float), e[..., None], out=vec.view(float))  # real and imaginary parts
     vec /= np.sqrt(2 * _pow(_abs(vec[..., 1]), 2) + _pow(_abs(vec[..., 3]), 2))[..., None]
@@ -205,13 +208,14 @@ def concurrence_wootters(rho: DensityMatrix4):
     """Concurrence from the spin-flip spectrum of rho: a float, or an array
     with one entry per matrix of a stack.
 
-    Eigenvalues of rho (sy x sy) rho* (sy x sy) in decreasing order;
-    round-off on rank-deficient states can push them slightly negative, so
-    they are clamped at -1e-10 before the square roots.
+    Eigenvalues of rho rho~ in decreasing order, rho~ = (sy x sy) rho* (sy x sy)
+    written out as s_i s_j rho*_(3-i)(3-j), the product summed along a middle
+    axis as amplitude._mul does; round-off on rank-deficient states can push
+    them slightly negative, so they are clamped at -1e-10 before the square roots.
     """
     m = rho.matrix
-    spin_flipped = m @ _SYSY @ m.conj() @ _SYSY
-    evals = np.linalg.eigvals(spin_flipped).real
+    flipped = m.conj()[..., ::-1, ::-1] * _FLIP_SIGNS
+    evals = np.linalg.eigvals((m[..., :, :, None] * flipped[..., None, :, :]).sum(axis=-2)).real
     if np.min(evals) < -1e-10:
         raise NonPhysicalInput("spin-flip spectrum has a large negative eigenvalue")
     e = np.sort(np.sqrt(np.maximum(evals, 0.0)), axis=-1)[..., ::-1]

@@ -62,9 +62,10 @@ class ScenarioConfig:
         if not self.out:
             raise RangeError("out must be a file path, or '-' for stdout")
         if self.observable in ("concurrence", "density") and self.angles is None:
-            raise RangeError(
-                f"observable {self.observable!r} requires theta1/phi1/theta2/phi2"
-            )
+            raise RangeError(f"observable {self.observable!r} requires theta1/phi1/theta2/phi2")
+        if self.observable in ("concurrence", "density") and self.angles[0].theta == \
+                self.angles[1].theta == math.pi:  # post_bsm_projection would raise ZeroNorm
+            raise RangeError("theta1 = theta2 = pi: two qubits in |g> have no swapped state")
 
 
 def _check_increasing(taus: np.ndarray) -> None:

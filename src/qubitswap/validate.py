@@ -105,11 +105,11 @@ def check_entropy_bounds():
 
 def check_concurrence_oracle():
     # 300 seeded draws of (theta1, phi1, theta2, phi2, |E|^2, arg E), then the
-    # Bell state (theta = phi, the same for both qubits) at four |E|: one batch
+    # Bell state (theta = phi, the same for both qubits) at five |E|, 0 included: one batch
     t1, p1, t2, p2, u, arg = (_uniform(99, 0, 1800).reshape(300, 6)
                               * ([math.pi, 2 * math.pi] * 2 + [1, 2 * math.pi])).T
-    t1, p1, t2, p2 = (np.r_[a, np.repeat([0.3, 1.0, 1.4], 4)] for a in (t1, p1, t2, p2))
-    e = np.r_[np.sqrt(u) * np.exp(1j * arg), [1, 1e-16, 1e-200, 5e-324] * 3]
+    t1, p1, t2, p2 = (np.r_[a, np.repeat([0.3, 1.0, 1.4], 5)] for a in (t1, p1, t2, p2))
+    e = np.r_[np.sqrt(u) * np.exp(1j * arg), [1, 1e-16, 1e-200, 5e-324, 0] * 3]
     s = post_bsm_projection(BlochAngles(t1, p1), BlochAngles(t2, p2), e)
     rho = density_matrix(s)
     errs = np.c_[concurrence_closed(s) - concurrence_wootters(rho),

@@ -13,7 +13,10 @@ still be compared by value (see test_byte_manifest.py).
     python tests/byte_manifest.py --diff SRC  also list, for each output that
                                               differs from what the package
                                               in SRC writes, how many values
-                                              moved and by how much
+                                              moved and by how much, then one
+                                              line: how many outputs moved,
+                                              and the largest absolute and
+                                              relative move of any value
 
 Run it from the repository root with src on the path (PYTHONPATH=src).
 """
@@ -107,21 +110,23 @@ def manifest_text(outdir: Path) -> str:
             + ",\n".join(lines) + "\n}}\n")
 
 
-def value_moves(old: Path, new: Path) -> str:
+def value_moves(old: Path, new: Path) -> tuple[str, float, float]:
     """How many values of two same-shaped CSVs differ, per column, and the
-    largest absolute and relative move."""
+    largest absolute and relative move (infinite for a change of shape)."""
     columns, a = read_csv(old)
     _, b = read_csv(new)
     if a.shape != b.shape:
-        return f"shape {a.shape} -> {b.shape}"
-    parts = []
+        return f"shape {a.shape} -> {b.shape}", math.inf, math.inf
+    parts, most, most_rel = [], 0.0, 0.0
     for name, x, y in zip(columns, a.T, b.T):
         moved = x != y
         if moved.any():
-            rel = np.abs(x - y)[moved] / np.maximum(np.abs(x), np.abs(y))[moved]
+            d = np.abs(x - y)[moved]
+            rel = d / np.maximum(np.abs(x), np.abs(y))[moved]
+            most, most_rel = max(most, d.max()), max(most_rel, rel.max())
             parts.append(f"{name}: {moved.sum()} of {len(x)}, max |d| "
-                         f"{np.abs(x - y).max():.3g}, max relative {rel.max():.3g}")
-    return "; ".join(parts) or "same values, other bytes"
+                         f"{d.max():.3g}, max relative {rel.max():.3g}")
+    return "; ".join(parts) or "same values, other bytes", most, most_rel
 
 
 def main(argv: list[str]) -> int:
@@ -135,10 +140,15 @@ def main(argv: list[str]) -> int:
                     f"{str(MANIFEST.parent)!r}]; import byte_manifest; "
                     f"byte_manifest.generate({str(old)!r})")
             subprocess.run([sys.executable, "-c", code], check=True, stdout=subprocess.DEVNULL)
+            moved, most, most_rel = 0, 0.0, 0.0
             for path in sorted(new.iterdir()):
                 if path.read_bytes() != (old / path.name).read_bytes():
-                    moves = value_moves(old / path.name, path) if path.suffix == ".csv" else ""
+                    moves, d, rel = (value_moves(old / path.name, path) if path.suffix == ".csv"
+                                     else ("", 0.0, 0.0))
+                    moved, most, most_rel = moved + 1, max(most, d), max(most_rel, rel)
                     print(f"{path.name}: {moves}")
+            print(f"{moved} outputs moved, largest move {most:.3g}, "
+                  f"largest relative move {most_rel:.3g}")
     return 0
 
 

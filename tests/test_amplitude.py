@@ -132,6 +132,17 @@ def near_triple_root(beta):
     return ModelParams(R=0.769800358919501, beta=beta, Omega=0.19245008972987526 / beta)
 
 
+ROUTE_TABLE = [  # (params, whether build_amplitude_model flags them)
+    *((p, False) for p in WEAK + STRONG),  # conditioning 4.5e-14 (WEAK[0]), else 2.2e-16
+    (ModelParams(3000.0, 0.0, 1.5e9), False),
+    (ModelParams(1000.0, 5e-7, 1.5e9), False),  # beta*Omega = 750
+    (ModelParams(R=2e-3, beta=1e-8, Omega=0.05), True),  # 1.1e-10
+    *((near_triple_root(b), True) for b in (1e-9, 1e-12, 1e-15)),  # 7.4e-8 to 7.1e-2
+    (ModelParams(0.0215, 0.0, 1.0), False),  # at beta = 0 about 2 eps / R^2
+    (ModelParams(0.021, 0.0, 1.0), True),
+]
+
+
 class TestModelParams:
     def test_valid(self):
         p = ModelParams(R=0.1, beta=2e-9, Omega=1.5e9)
@@ -270,6 +281,18 @@ class TestSolveCubic:
             for r in solve_cubic(c):
                 assert residual(c, r) <= 1e-9 * max(1.0, abs(r) ** 3)
 
+    @pytest.mark.parametrize("k", [-300, -100, 100, 300])
+    def test_residual_bound_scaled(self, k):
+        # the same cubics with every root times 2^k: the closed form scales
+        # them to order 1 first, so nothing overflows or underflows
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            c = tuple(complex(*rng.normal(0, 10, 2)) for _ in range(3))
+            size = math.ldexp(max(1.0, *np.abs(np.roots([1.0, *c]))), k)
+            scaled = tuple(math.ldexp(1.0, n * k) * a for n, a in zip((1, 2, 3), c))
+            for r in solve_cubic(scaled):
+                assert residual(scaled, r) <= 1e-9 * size**3
+
     def test_ordering(self):
         c = cubic_coefficients(ModelParams(R=10.0, beta=0.0, Omega=1.0))
         roots = solve_cubic(c)
@@ -355,19 +378,34 @@ class TestAmplitudeModel:
         assert out.shape == taus.shape and np.all(np.isfinite(out))
         assert peak < 8e6
 
-    @pytest.mark.parametrize("params,degenerate", [
-        *((p, False) for p in WEAK + STRONG),  # conditioning 4.5e-14 (WEAK[0]), else 2.2e-16
-        (ModelParams(3000.0, 0.0, 1.5e9), False),
-        (ModelParams(1000.0, 5e-7, 1.5e9), False),  # beta*Omega = 750
-        (ModelParams(R=2e-3, beta=1e-8, Omega=0.05), True),  # 1.1e-10
-        *((near_triple_root(b), True) for b in (1e-9, 1e-12, 1e-15)),  # 7.4e-8 to 7.1e-2
-        (ModelParams(0.0215, 0.0, 1.0), False),  # at beta = 0 about 2 eps / R^2
-        (ModelParams(0.021, 0.0, 1.0), True),
-    ])
+    @pytest.mark.parametrize("params,degenerate", ROUTE_TABLE)
     def test_routed_by_conditioning(self, params, degenerate):
         # analytic only where the weights' conditioning eps sum|A_i| scale / gap
         # is at most 1e-12; a fixed root gap of 1e-6 let every flagged one here through
         assert build_amplitude_model(params).degenerate == degenerate
+
+    def test_models_build_without_lapack(self, monkeypatch):
+        # the roots are in closed form: neither numpy.roots nor an eigenvalue call
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        monkeypatch.setattr(np, "roots", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for params, degenerate in ROUTE_TABLE:
+            assert build_amplitude_model(params).degenerate == degenerate
+
+    @pytest.mark.parametrize("R", [1e34, 1e50, 1e100])
+    @pytest.mark.parametrize("beta", [0.0, 1e-8])
+    def test_large_r_keeps_the_slow_root(self, R, beta):
+        # at beta = 0 the cubic is (q + 1)(q^2 + q + R^2/2): the companion
+        # eigenvalues lost the root -1 to an exact 0 here, unflagged
+        model = build_amplitude_model(ModelParams(R=R, beta=beta, Omega=1.5e9))
+        assert not model.degenerate and 0 not in model.roots
+        assert abs(min(model.roots, key=abs) + 1) <= 1e-12
+        # the pair's real part, -1/2, is still lost to rounding (up to +5.8e17 at
+        # R = 1e50), but inside the phase bound it cannot move E
+        tau_end = 1e-3 / sys.float_info.epsilon * math.sqrt(2) / R
+        assert max(q.real for q in model.roots) * tau_end <= 1e-19
 
     @pytest.mark.parametrize("R", [1.5223437009626503e-4, 1.1845575740339161e-4])
     def test_double_root_at_small_r_is_flagged(self, R):

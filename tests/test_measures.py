@@ -160,9 +160,9 @@ class TestConcurrenceClosed:
         assert density_populations(s).tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_zero_norm_raises(self):
-        s = post_bsm_projection(BlochAngles(math.pi), BlochAngles(math.pi), 0.5)
+        # both qubits in |g>: X = Y = 0 at every E, refused by the projection itself
         with pytest.raises(ZeroNorm):
-            concurrence_closed(s)
+            post_bsm_projection(BlochAngles(math.pi), BlochAngles(math.pi), 0.5)
 
     def test_monotone_in_p_at_fixed_angles(self):
         rng = np.random.default_rng(5)
@@ -276,9 +276,10 @@ class TestBatchedWootters:
         assert min(expected.N) > 1e-4  # no draw comes near N = 1e-12: the batch needs no filter
         np.testing.assert_allclose(batch.X[:300], expected.X, rtol=0, atol=4e-16)
         np.testing.assert_allclose(batch.Y[:300], expected.Y, rtol=0, atol=4e-16)
-        # then twelve Bell states: identical angles, so Y = 0, down to |E| = 5e-324
+        # then fifteen Bell states: identical angles, so Y = 0, down to |E| = 5e-324 and E = 0
         bell = PostBsmState(batch.X[300:], batch.Y[300:])
-        assert len(bell.X) == 12 and np.all(bell.Y == 0) and np.min(np.abs(bell.X)) == 5e-324
+        assert len(bell.X) == 15 and np.all(bell.Y == 0)
+        assert np.count_nonzero(bell.X == 0) == 3 and np.min(np.abs(bell.X[bell.X != 0])) == 5e-324
         assert np.max(np.abs(concurrence_wootters(density_matrix(bell)) - 1)) <= 1e-15
 
     def test_validate_checks_the_populations_against_the_matrix(self, monkeypatch):
@@ -288,6 +289,18 @@ class TestBatchedWootters:
                             lambda s: real(s) + [0.0, 2e-8, 0.0, -2e-8])
         worst, bound = validate.check_concurrence_oracle()
         assert worst > bound == 1e-8
+
+    def test_spin_flip_written_out_equals_the_kronecker_form(self, monkeypatch):
+        # rho (sy x sy) rho* (sy x sy) with its Pauli products, the reference:
+        # concurrence_wootters forms it without a matrix product
+        sysy = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+        rho = density_matrix(stack(seeded_states()))
+        spectra = []
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: spectra.append(a) or real(a))
+        concurrence_wootters(rho)
+        (product,), m = spectra, rho.matrix
+        assert np.max(np.abs(product - m @ sysy @ m.conj() @ sysy)) <= 1e-15
 
     def test_bell_and_product_state_in_one_stack(self):
         v = np.array([0, 1, -1, 0]) / math.sqrt(2)
@@ -308,8 +321,11 @@ class TestBatchedWootters:
 
 
 class TestOneVanishingRule:
-    """The closed form and the spin-flip route share one ZeroNorm rule, X = Y
-    = 0, and the spin-flip route scales X and Y as the closed form does."""
+    """One ZeroNorm rule, from the angles alone: two qubits in |g> give X = Y
+    = 0 at every E, and post_bsm_projection refuses them.  X = Y = 0 at one E
+    (identical angles, E = 0) is the Bell state's limit, which the closed form
+    and the spin-flip route both give; the spin-flip route scales X and Y as
+    the closed form does."""
 
     # (q1, q2, E) and whether X = Y = 0
     CASES = [
@@ -330,22 +346,20 @@ class TestOneVanishingRule:
 
     @pytest.mark.parametrize("q1, q2, e, vanishes", CASES)
     def test_same_states_raise_zero_norm(self, q1, q2, e, vanishes):
+        if q1[0] == q2[0] == math.pi:  # both in |g>: the projection raises at any E
+            for amplitude in (e, np.array([0.3, e])):
+                with pytest.raises(ZeroNorm):
+                    post_bsm_projection(BlochAngles(*q1), BlochAngles(*q2), amplitude)
+            return
         s = post_bsm_projection(BlochAngles(*q1), BlochAngles(*q2), e)
         assert (s.X == 0 and s.Y == 0) is vanishes
-        for measure in self.measures():
-            if vanishes:
-                with pytest.raises(ZeroNorm):
-                    measure(s)
-            else:
-                assert np.all(np.isfinite(measure(s)))
-        # in a batch, the one row decides for the whole batch
+        # every measure answers, alone and in a batch; X = Y = 0 gives the Bell state
         batch = PostBsmState(np.array([0.3 + 0.1j, s.X]), np.array([0.2, s.Y]))
         for measure in self.measures():
-            if vanishes:
-                with pytest.raises(ZeroNorm):
-                    measure(batch)
-            else:
-                assert np.all(np.isfinite(measure(batch)))
+            assert np.all(np.isfinite(measure(s))) and np.all(np.isfinite(measure(batch)))
+        if vanishes:
+            assert concurrence_closed(s) == 1.0 and concurrence_closed(batch)[1] == 1.0
+            assert abs(concurrence_wootters(density_matrix(s)) - 1) <= 1e-15
 
     def test_density_matrix_keeps_its_bits(self):
         # where N and both squares are normal the power-of-two scaling is
@@ -511,13 +525,11 @@ class TestArrayMeasures:
         e = np.array([0.5, 0.3 + 0.1j, 0.9])
         with pytest.raises(ZeroNorm):
             concurrence_closed(post_bsm_projection(BlochAngles(math.pi), BlochAngles(math.pi), e))
-        # singlet branch (Y = 0): only the row with E = 0 has a vanishing weight
+        # singlet branch (Y = 0): the row with E = 0 is the Bell state too, its limit
         q = BlochAngles(math.pi / 2, 0.0)
         state = post_bsm_projection(q, q, np.array([0.5, 0.0, 0.9]))
-        with pytest.raises(ZeroNorm):
-            concurrence_closed(state)
-        with pytest.raises(ZeroNorm):
-            density_populations(state)
+        assert concurrence_closed(state).tolist() == [1.0, 1.0, 1.0]
+        assert density_populations(state).tolist() == [[0.0, 0.5, 0.5, 0.0]] * 3
 
     @pytest.mark.parametrize("bad", [1 + 1e-6, math.nan, complex(math.nan, 0.1), math.inf])
     def test_bad_amplitude_in_batch_raises(self, bad):

@@ -909,6 +909,28 @@ class TestCliMain:
             rows = capsys.readouterr().out.splitlines()[1:]
             assert len(rows) == 2001 and all(row.split(",", 1)[1] == values for row in rows)
 
+    @pytest.mark.parametrize("model", [
+        ["--R", "10", "--theta1", "0.3", "--theta2", "0.3", "--tau-max", "1500",
+         "--tau-steps", "2001"],
+        ["--R", "10", "--theta1", "0.3", "--theta2", "0.3", "--tau-max", "2000",
+         "--tau-steps", "2001"],
+        # flagged (R < 0.02 at beta = 0): the propagator's E is exactly 0 from tau = 8e5
+        ["--R", "0.01", "--omega-ratio", "1", "--theta1", "0", "--theta2", "0",
+         "--tau-max", "1e6", "--tau-steps", "11"],
+    ], ids=["tau-1500", "tau-2000", "flagged"])
+    def test_identical_angles_give_the_bell_state_where_e_is_zero(self, capsys, model):
+        # STRONG[0]'s E is exactly 0 from tau of about 1490; the Bell state is
+        # the limit E -> 0 of the swapped state, so every row still reads it
+        argv = ["scan", "--omega-ratio", "1.5e9", *model]
+        for obs, values in (("concurrence", "1"), ("density", "0,0.5,0.5,0")):
+            assert main(argv + ["--observable", obs]) == 0
+            out, err = capsys.readouterr()
+            rows = out.splitlines()[1:]
+            assert err == "" and all(row.split(",", 1)[1] == values for row in rows)
+            assert len(rows) == int(model[-1])
+        assert main(argv + ["--observable", "amplitude"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split(",")[1:] == ["0", "0", "0"]
+
     @pytest.mark.parametrize("beta", [1e-9, 1e-12, 1e-15])
     def test_near_triple_root_takes_the_propagator(self, capsys, beta):
         # R^2 = 16/27 and beta*Omega = 1/sqrt(27): the roots crowd round -2/3.
@@ -925,17 +947,19 @@ class TestCliMain:
             if obs == "amplitude":
                 assert lines[0] == "0,1,0,1" and np.all(values[:, 3] <= 1)
 
-    def test_both_qubits_in_the_ground_state_is_numeric_failure(self, capsys):
+    @pytest.mark.parametrize("observable", ["concurrence", "density"])
+    @pytest.mark.parametrize("target", ["stdout", "file"])
+    def test_both_qubits_in_the_ground_state_is_usage_error(self, capsys, tmp_path, observable,
+                                                            target):
+        # no swapped state at any tau: refused before any output
+        path = "-" if target == "stdout" else str(tmp_path / "c.csv")
         pi = repr(math.pi)
-        code = main(
-            [
-                "scan", "--R", "10", "--omega-ratio", "1.5e9", "--observable", "concurrence",
-                "--theta1", pi, "--theta2", pi,
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("numeric failure:")
+        code = main(["scan", "--R", "10", "--omega-ratio", "1.5e9", "--observable", observable,
+                     "--theta1", pi, "--theta2", pi, "--out", path])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and list(tmp_path.iterdir()) == []
+        assert err.count("\n") == 1 and err.startswith("error: theta1 = theta2 = pi")
 
     def test_beta_cutoff_is_usage_error(self):
         code = main(
@@ -1388,6 +1412,51 @@ assert main(["validate"]) == 0
 print(sorted({"numpy.random", "_hashlib"} & (set(sys.modules) - before)))
 """
     assert run_fresh(code, tmp_path).splitlines()[-1] == "[]"
+
+
+# Resident kB of the BLAS and LAPACK libraries' mappings (OpenBLAS and its
+# gfortran runtime), before and after every scan route and every preset;
+# "none" where numpy maps no such library.
+BLAS_PAGES = """
+from qubitswap import scenario
+from qubitswap.cli import main
+
+def blas_kb():
+    kb, found, blas = 0, False, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            key, *rest = line.split()
+            if not key.endswith(":"):  # a mapping's first line; its path is the sixth field
+                path = " ".join(rest[4:])
+                blas = "openblas" in path or "gfortran" in path
+                found = found or blas
+            elif blas and key == "Rss:":
+                kb += int(rest[0])
+    return kb if found else None
+
+before = blas_kb()
+model = ["--R", "10", "--beta", "1e-8", "--omega-ratio", "1.5e9", "--theta1", "1.5",
+         "--theta2", "0.7", "--tau-steps", "101", "--out", "scan.csv"]
+scans = [[*model, "--observable", obs, "--method", method]
+         for obs in scenario.OBSERVABLES for method in ("analytic", "oracle")]
+scans += [[*model, "--observable", "density", "--R", "0.7071067811865475", "--beta", "0"],
+          [*model, "--observable", "power", "--power-method", "mc", "--mc-samples", "2000"]]
+for argv in scans:
+    assert main(["scan", *argv]) == 0, argv
+for fig in scenario.FIGURE_IDS:
+    assert main(["figure", fig, "--outdir", "figures"]) == 0, fig
+print("none" if before is None else blas_kb() - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/smaps")
+def test_scans_and_presets_leave_blas_pages_untouched(tmp_path):
+    # the cubic's roots are in closed form and the spin flip is written out:
+    # the companion-matrix eigenvalues faulted in 832 kB of OpenBLAS pages
+    grown = run_fresh(BLAS_PAGES, tmp_path).split()[-1]
+    if grown == "none":
+        pytest.skip("numpy maps no OpenBLAS or gfortran library here")
+    assert int(grown) <= 0
 
 
 def test_cli_import_builds_no_formatting_tables(tmp_path):
